@@ -83,11 +83,14 @@ _EZ = np.array([0.0, 0.0, 1.0])
 
 
 def unit_axis(v, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Validate and return a unit 3-vector as a float array."""
+    """Validate and return a finite unit 3-vector as a float array."""
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise InvalidAxisError(f"axis must be a 3-vector, got shape {a.shape}")
     n = float(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
+    if not math.isfinite(n):
+        # A NaN norm would pass the comparison below, which is false for NaN.
+        raise InvalidAxisError(f"axis must be finite with norm 1, got {a.tolist()}")
     if abs(n - 1.0) > 2.0 * tol.norm:
         raise InvalidAxisError(f"axis norm {math.sqrt(n):.12g} is not 1 within tolerance")
     return a

@@ -6,6 +6,13 @@ is realised by one m-n-m triple with angles in closed form.  Chaining the
 triples and merging adjacent same-axis rotations yields sequences whose
 length meets the closed-form minimum from :mod:`biaxial.counting`.
 
+Each construction first produces the raw angles of its chain.  Reversal,
+relabelling for the caller's axes, trimming and angle reduction are then
+applied to those angles, and the final list is replayed once (twice only
+when the first product lands on the other lift of the target), so one
+``decompose_min`` call costs one pass over a chain of about ``pi/delta``
+factors.
+
 Factor lists are stored in product order: ``factors[0]`` is the leftmost
 factor, i.e. the last one applied.
 """
@@ -20,9 +27,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .counting import Analysis, AxisPair, analyze, ceil_snapped
+from .counting import AxisPair, analyze, ceil_snapped
 from .core import (
     IDENTITY,
+    Frame,
     Su2Element,
     compose,
     generalized_euler,
@@ -31,6 +39,7 @@ from .core import (
     normalize_angle,
     quat_distance,
     rot,
+    unit_axis,
 )
 from .errors import InfeasibleSlabError, InvalidSlabError
 
@@ -235,32 +244,170 @@ def _with_overrides(plan: SynthesisPlan, t_params: Sequence[float] | None,
     return plan
 
 
-def _finish(factors: list[Factor], u: Su2Element, pair: AxisPair, parity: str,
-            axis_m: np.ndarray, axis_n: np.ndarray, tol: Tolerances,
-            plan: SynthesisPlan | None, beta_prime: float | None) -> Decomposition:
-    factors = [Factor(f.label, normalize_angle(f.angle)) for f in factors]
-    prod = replay_factors(factors, axis_m, axis_n, tol)
-    residual = quat_distance(prod, u)
-    if factors and quat_distance(negate(prod), u) < residual:
-        # Recompose landed on the other lift; a 2*pi shift on one factor
-        # flips the sign exactly.
-        first = factors[0]
-        factors[0] = Factor(first.label, normalize_angle(first.angle + 2.0 * math.pi))
+class _Chain(NamedTuple):
+    """Raw angles of one construction in the governing frame.
+
+    Labels alternate starting with ``first``; angles are not yet reduced
+    into the reporting interval.
+    """
+
+    first: AxisLabel
+    angles: list[float]
+    plan: SynthesisPlan
+    beta_prime: float | None
+
+
+def _solve_slabs(plan: SynthesisPlan, delta: float,
+                 tol: Tolerances) -> list[TripleSolution]:
+    """Triples for every slab of a plan, solving each distinct slab once.
+
+    All full slabs share one ``(2*delta, t, branch)`` key and
+    :func:`solve_triple` is pure, so a chain of any length needs at most a
+    few solves.
+    """
+    solved: dict[tuple[float, float, Branch], TripleSolution] = {}
+    trips = []
+    for key in zip(plan.slabs, plan.t_params, plan.branches):
+        trip = solved.get(key)
+        if trip is None:
+            trip = solved[key] = solve_triple(key[0], delta, key[1], key[2], tol)
+        trips.append(trip)
+    return trips
+
+
+def _odd_chain(u: Su2Element, pair: AxisPair, frame: Frame,
+               t_params: Sequence[float] | None, branch: Branch | None,
+               tol: Tolerances) -> _Chain:
+    """Raw angles of the odd construction m, n, m, ..., m."""
+    delta = pair.delta
+    alpha, beta, gamma = generalized_euler(u, frame, tol)
+    plan = _with_overrides(plan_odd(beta, delta, tol), t_params, branch)
+    if not plan.slabs:
+        return _Chain(AxisLabel.M, [alpha + gamma], plan, None)
+    trips = _solve_slabs(plan, delta, tol)
+    angles = [alpha - trips[0].alpha]
+    for trip, nxt in zip(trips, trips[1:]):
+        angles.append(trip.theta)
+        angles.append(-trip.gamma - nxt.alpha)
+    angles.append(trips[-1].theta)
+    angles.append(-trips[-1].gamma + gamma)
+    return _Chain(AxisLabel.M, angles, plan, None)
+
+
+def _even_chain(u: Su2Element, pair: AxisPair, frame: Frame,
+                t_params: Sequence[float] | None, branch: Branch | None,
+                tol: Tolerances) -> _Chain:
+    """Raw angles of the even construction n, m, ..., n, m."""
+    delta = pair.delta
+    shifted = compose(rot(pair.l, -delta, tol), u, tol)
+    ap, bp, gp = generalized_euler(shifted, frame, tol)
+    plan, merged = _plan_even(bp, delta, tol)
+    plan = _with_overrides(plan, t_params, branch)
+    if merged:
+        plan = replace(plan, t_params=(0.5 * math.pi,) + plan.t_params[1:])
+    trips = _solve_slabs(plan, delta, tol)
+    if merged:
+        angles = [ap + trips[0].theta]
+        for prev, trip in zip(trips, trips[1:]):
+            angles.append(-prev.gamma - trip.alpha)
+            angles.append(trip.theta)
+        angles.append(-trips[-1].gamma + gp)
+    else:
+        trip = trips[0]
+        angles = [ap, -trip.alpha, trip.theta, -trip.gamma + gp]
+    return _Chain(AxisLabel.N, angles, plan, bp)
+
+
+def _finish(chain: _Chain, u: Su2Element, pair: AxisPair, parity: str,
+            axis_m: np.ndarray, axis_n: np.ndarray, tol: Tolerances, *,
+            reverse: bool = False, swapped: bool = False,
+            m_flipped: bool = False, trim: bool = False) -> Decomposition:
+    """Turn a raw chain into the reported factors and replay them.
+
+    The chain goes through these angle transforms in order: reduce into
+    ``(-2*pi, 2*pi]``; with ``reverse``, reverse the list and negate every
+    angle (a chain for ``inverse(u)`` becomes one for ``u``); with
+    ``swapped``, exchange the labels; with ``m_flipped``, negate the
+    m-angles (a rotation about -m by theta is one about m by -theta); with
+    ``trim``, drop zero-angle ends; reduce again.  The result is replayed
+    once about ``axis_m`` and ``axis_n``.  Only if the product lands on the
+    other lift of ``u`` does the chain's first factor gain 2*pi, which flips
+    the product's sign exactly, and the transforms and the replay run again.
+    """
+    reduced = [normalize_angle(a) for a in chain.angles]
+    for lift_flip in (False, True):
+        angles = list(reduced)
+        if lift_flip:
+            angles[0] = normalize_angle(angles[0] + 2.0 * math.pi)
+        first = chain.first
+        if reverse:
+            if len(angles) % 2 == 0:
+                first = first.other
+            angles = [-a for a in reversed(angles)]
+        if swapped:
+            first = first.other
+        if m_flipped:
+            start = 0 if first is AxisLabel.M else 1
+            angles[start::2] = [-a for a in angles[start::2]]
+        if trim:
+            lo, hi = 0, len(angles)
+            while lo < hi and abs(angles[lo]) <= tol.angle:
+                lo += 1
+            while hi > lo and abs(angles[hi - 1]) <= tol.angle:
+                hi -= 1
+            if lo % 2:
+                first = first.other
+            angles = angles[lo:hi]
+        labels = (first, first.other)
+        factors = tuple([Factor(labels[i & 1], normalize_angle(a))
+                         for i, a in enumerate(angles)])
         prod = replay_factors(factors, axis_m, axis_n, tol)
         residual = quat_distance(prod, u)
-    return Decomposition(factors=tuple(factors), target=u, axis_m=axis_m,
+        if lift_flip or not quat_distance(negate(prod), u) < residual:
+            break
+    return Decomposition(factors=factors, target=u, axis_m=axis_m,
                          axis_n=axis_n, pair=pair, parity=parity,
-                         residual=residual, plan=plan, beta_prime=beta_prime)
+                         residual=residual, plan=chain.plan,
+                         beta_prime=chain.beta_prime)
 
 
 def replay_factors(factors: Sequence[Factor], axis_m, axis_n,
                    tol: Tolerances = DEFAULT_TOL) -> Su2Element:
-    """Product of the factors in list order (applied right to left)."""
-    acc = IDENTITY
+    """Product of the factors in list order (applied right to left).
+
+    Bit-identical to the left fold ``acc = compose(acc, rot(axis, f.angle,
+    tol), tol)`` from ``IDENTITY``: the same arithmetic in the same order,
+    with the same renormalisation rule, inlined on Python floats.  Each axis
+    is validated by ``unit_axis`` once, on its first use, so an axis that no
+    factor uses is never checked.
+    """
+    renorm = 0.5 * tol.norm
+    m_axis = n_axis = None
+    w, x, y, z = IDENTITY.components()
     for f in factors:
-        axis = axis_m if f.label is AxisLabel.M else axis_n
-        acc = compose(acc, rot(axis, f.angle, tol), tol)
-    return acc
+        if f.label is AxisLabel.M:
+            if m_axis is None:
+                m_axis = unit_axis(axis_m, tol).tolist()
+            vx, vy, vz = m_axis
+        else:
+            if n_axis is None:
+                n_axis = unit_axis(axis_n, tol).tolist()
+            vx, vy, vz = n_axis
+        # core.rot, then core.compose(acc, rot) inlined: keep both in step
+        # with core, operation for operation, or the products stop being
+        # bit-identical to the fold.
+        half = 0.5 * f.angle
+        c, s = math.cos(half), math.sin(half)
+        bx, by, bz = -vx * s, -vy * s, -vz * s
+        w, x, y, z = (w * c - x * bx - y * by - z * bz,
+                      w * bx + c * x - (y * bz - z * by),
+                      w * by + c * y - (z * bx - x * bz),
+                      w * bz + c * z - (x * by - y * bx))
+        n = w * w + x * x + y * y + z * z
+        if abs(n - 1.0) > renorm:
+            inv = 1.0 / math.sqrt(n)
+            w, x, y, z = w * inv, x * inv, y * inv, z * inv
+    return Su2Element(w, x, y, z)
 
 
 def decompose_odd(u: Su2Element, pair: AxisPair,
@@ -272,21 +419,8 @@ def decompose_odd(u: Su2Element, pair: AxisPair,
     Length is ``2*ceil(beta/(2*delta)) + 1``; a vanishing middle angle gives
     the single bare m-rotation.
     """
-    delta = pair.delta
-    alpha, beta, gamma = generalized_euler(u, pair.frame(tol), tol)
-    plan = _with_overrides(plan_odd(beta, delta, tol), t_params, branch)
-    if not plan.slabs:
-        return _finish([Factor(AxisLabel.M, alpha + gamma)], u, pair, "odd",
-                       pair.m, pair.n, tol, plan, None)
-    trips = [solve_triple(b, delta, t, br, tol)
-             for b, t, br in zip(plan.slabs, plan.t_params, plan.branches)]
-    factors = [Factor(AxisLabel.M, alpha - trips[0].alpha)]
-    for j, trip in enumerate(trips):
-        factors.append(Factor(AxisLabel.N, trip.theta))
-        if j + 1 < len(trips):
-            factors.append(Factor(AxisLabel.M, -trip.gamma - trips[j + 1].alpha))
-    factors.append(Factor(AxisLabel.M, -trips[-1].gamma + gamma))
-    return _finish(factors, u, pair, "odd", pair.m, pair.n, tol, plan, None)
+    chain = _odd_chain(u, pair, pair.frame(tol), t_params, branch, tol)
+    return _finish(chain, u, pair, "odd", pair.m, pair.n, tol)
 
 
 def decompose_even(u: Su2Element, pair: AxisPair,
@@ -302,30 +436,8 @@ def decompose_even(u: Su2Element, pair: AxisPair,
     free parameter is pinned to pi/2 (the merge needs it); ``t_params``
     overrides apply to the remaining slabs.
     """
-    delta = pair.delta
-    shifted = compose(rot(pair.l, -delta, tol), u, tol)
-    ap, bp, gp = generalized_euler(shifted, pair.frame(tol), tol)
-    plan, merged = _plan_even(bp, delta, tol)
-    plan = _with_overrides(plan, t_params, branch)
-    if merged:
-        plan = replace(plan, t_params=(0.5 * math.pi,) + plan.t_params[1:])
-    trips = [solve_triple(b, delta, t, br, tol)
-             for b, t, br in zip(plan.slabs, plan.t_params, plan.branches)]
-    if merged:
-        factors = [Factor(AxisLabel.N, ap + trips[0].theta)]
-        for j in range(1, len(trips)):
-            factors.append(Factor(AxisLabel.M, -trips[j - 1].gamma - trips[j].alpha))
-            factors.append(Factor(AxisLabel.N, trips[j].theta))
-        factors.append(Factor(AxisLabel.M, -trips[-1].gamma + gp))
-    else:
-        trip = trips[0]
-        factors = [
-            Factor(AxisLabel.N, ap),
-            Factor(AxisLabel.M, -trip.alpha),
-            Factor(AxisLabel.N, trip.theta),
-            Factor(AxisLabel.M, -trip.gamma + gp),
-        ]
-    return _finish(factors, u, pair, "even-mn", pair.m, pair.n, tol, plan, bp)
+    chain = _even_chain(u, pair, pair.frame(tol), t_params, branch, tol)
+    return _finish(chain, u, pair, "even-mn", pair.m, pair.n, tol)
 
 
 def decompose_even_reversed(u: Su2Element, pair: AxisPair,
@@ -338,25 +450,8 @@ def decompose_even_reversed(u: Su2Element, pair: AxisPair,
     angle; the factor count becomes the even minimum for the opposite axis
     order.
     """
-    inner = decompose_even(inverse(u), pair, t_params, branch, tol)
-    factors = [Factor(f.label, -f.angle) for f in reversed(inner.factors)]
-    return _finish(factors, u, pair, "even-nm", pair.m, pair.n, tol,
-                   inner.plan, inner.beta_prime)
-
-
-def _map_to_caller(factors: Sequence[Factor], analysis: Analysis) -> list[Factor]:
-    """Relabel governing-frame factors for the caller's raw axes."""
-    swapped = analysis.governing.swapped
-    m_flipped = analysis.pair.m_flipped
-    out = []
-    for f in factors:
-        label = f.label.other if swapped else f.label
-        angle = f.angle
-        if label is AxisLabel.M and m_flipped:
-            # Rotation about -m by theta equals rotation about m by -theta.
-            angle = -angle
-        out.append(Factor(label, angle))
-    return out
+    chain = _even_chain(inverse(u), pair, pair.frame(tol), t_params, branch, tol)
+    return _finish(chain, u, pair, "even-nm", pair.m, pair.n, tol, reverse=True)
 
 
 def decompose_min(u: Su2Element, m_raw, n_raw,
@@ -369,26 +464,19 @@ def decompose_min(u: Su2Element, m_raw, n_raw,
     Dispatches on the parity chosen by the count formulas, then maps factor
     labels and angle signs back from the normalized governing axes to the
     axes as given.  With ``trim`` set, zero-angle factors at the ends are
-    elided, which may undercut the formal count.
+    elided, which may undercut the formal count.  The factors are replayed
+    once (twice when the first replay lands on the other lift).
     """
     analysis = analyze(u, m_raw, n_raw, tol)
     parity = analysis.report.chosen_parity
-    if parity == "odd":
-        inner = decompose_odd(u, analysis.governing, t_params, branch, tol)
-    elif parity == "even-mn":
-        inner = decompose_even(u, analysis.governing, t_params, branch, tol)
-    else:
-        inner = decompose_even_reversed(u, analysis.governing, t_params, branch, tol)
-    factors = _map_to_caller(inner.factors, analysis)
-    if trim:
-        while factors and abs(factors[0].angle) <= tol.angle:
-            factors.pop(0)
-        while factors and abs(factors[-1].angle) <= tol.angle:
-            factors.pop()
-    axis_m = np.asarray(m_raw, dtype=float)
-    axis_n = np.asarray(n_raw, dtype=float)
-    return _finish(factors, u, analysis.pair, parity, axis_m, axis_n, tol,
-                   inner.plan, inner.beta_prime)
+    governing = analysis.governing
+    build = _odd_chain if parity == "odd" else _even_chain
+    source = inverse(u) if parity == "even-nm" else u
+    chain = build(source, governing, analysis.frame, t_params, branch, tol)
+    return _finish(chain, u, analysis.pair, parity,
+                   np.asarray(m_raw, dtype=float), np.asarray(n_raw, dtype=float),
+                   tol, reverse=parity == "even-nm", swapped=governing.swapped,
+                   m_flipped=analysis.pair.m_flipped, trim=trim)
 
 
 def normalized_factors(d: Decomposition, tol: Tolerances = DEFAULT_TOL) -> tuple[Factor, ...]:

@@ -79,6 +79,13 @@ class TestDecompose:
         assert code == 0
         assert out["factors"] == []
 
+    def test_nan_axis_exit_code(self, tmp_path, capsys):
+        payload = {"m": [math.nan, 0.0, 1.0], "n": EX,
+                   "target": {"su2": [1.0, 0.0, 0.0, 0.0]}}
+        code, out = run_cli(tmp_path, capsys, "decompose", payload)
+        assert code == 2
+        assert out is None
+
     def test_batch_pipeline_of_100(self, tmp_path, capsys):
         rng = __import__("numpy").random.default_rng(60)
         batch = []

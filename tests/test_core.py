@@ -25,6 +25,7 @@ from biaxial import (
     quat_distance,
     rot,
     to_so3,
+    unit_axis,
 )
 from _helpers import matrix_distance, random_axis, random_su2, rot_matrix, su2_matrix
 
@@ -56,6 +57,21 @@ class TestRot:
     def test_rejects_non_unit_axis(self):
         with pytest.raises(InvalidAxisError):
             rot([1.0, 1.0, 0.0], 0.3)
+
+
+class TestUnitAxis:
+    @pytest.mark.parametrize("bad", [
+        [math.nan, 0.0, 1.0],
+        [0.0, math.inf, 0.0],
+        [0.0, 0.0, -math.inf],
+        [math.nan, math.nan, math.nan],
+    ])
+    def test_rejects_non_finite_component(self, bad):
+        # NaN compares false with everything, so a norm check alone admits it.
+        with pytest.raises(InvalidAxisError, match="finite"):
+            unit_axis(bad)
+        with pytest.raises(InvalidAxisError):
+            rot(bad, 0.3)
 
 
 class TestCompose:

@@ -214,6 +214,13 @@ class TestCountMin:
         with pytest.raises(InvalidAxisError):
             count_min(IDENTITY, np.array([1.0, 1.0, 0.0]), EX)
 
+    def test_rejects_nan_axis(self):
+        from biaxial import InvalidAxisError
+        with pytest.raises(InvalidAxisError):
+            count_min(IDENTITY, np.array([math.nan, 0.0, 1.0]), EX)
+        with pytest.raises(InvalidAxisError):
+            count_min(IDENTITY, EZ, np.array([0.0, math.nan, 0.0]))
+
     def test_counts_bounded_by_lowenthal(self):
         rng = np.random.default_rng(5)
         for _ in range(300):

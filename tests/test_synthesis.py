@@ -10,8 +10,10 @@ from biaxial import (
     AxisPair,
     Branch,
     Factor,
+    DEFAULT_TOL,
     IDENTITY,
     InfeasibleSlabError,
+    InvalidAxisError,
     InvalidSlabError,
     compose,
     count_min,
@@ -24,6 +26,7 @@ from biaxial import (
     generalized_euler,
     h_param,
     inverse,
+    normalize_angle,
     plan_odd,
     quat_distance,
     replay_factors,
@@ -32,8 +35,10 @@ from biaxial import (
     to_so3,
     verify_decomposition,
 )
+import biaxial.synthesis as synthesis
+from biaxial.counting import analyze
 from biaxial.synthesis import Decomposition
-from _helpers import random_pair, random_su2
+from _helpers import random_axis, random_pair, random_su2
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -384,3 +389,166 @@ class TestVerifyDecomposition:
         assert report.residual == 0.0
         assert not report.nonempty
         assert not report.ok
+
+
+def fold_replay(factors, axis_m, axis_n, tol=DEFAULT_TOL):
+    """Reference product: the left fold over ``compose`` and ``rot``."""
+    acc = IDENTITY
+    for f in factors:
+        axis = axis_m if f.label is AxisLabel.M else axis_n
+        acc = compose(acc, rot(axis, f.angle, tol), tol)
+    return acc
+
+
+def alternating(angles, first=AxisLabel.M):
+    labels = (first, first.other)
+    return [Factor(labels[i % 2], a) for i, a in enumerate(angles)]
+
+
+class TestReplayKernel:
+    """``replay_factors`` equals the ``compose``/``rot`` fold bit for bit."""
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 20, 500, 20000])
+    def test_bit_identical_to_fold(self, length):
+        rng = np.random.default_rng(100 + length)
+        m, n = random_pair(rng, 1e-3, 0.5 * math.pi)
+        angles = list(rng.uniform(-9.0, 9.0, size=length))
+        specials = [0.0, 2.0 * math.pi, -2.0 * math.pi]
+        for i, angle in zip(rng.choice(length, size=min(length, 9), replace=False),
+                            specials * 3):
+            angles[i] = angle
+        for first in (AxisLabel.M, AxisLabel.N):
+            factors = alternating(angles, first)
+            got = replay_factors(factors, m, n)
+            assert got.components() == fold_replay(factors, m, n).components()
+
+    def test_off_unit_axes_take_the_renormalisation_branch(self):
+        rng = np.random.default_rng(110)
+        tol = DEFAULT_TOL
+        for _ in range(20):
+            # Raw axes off unit norm by up to tol.norm stay admissible, but
+            # their rotations are not unit quaternions, so compose renormalises.
+            m = random_axis(rng) * (1.0 + tol.norm * rng.uniform(-1.0, 1.0))
+            n = random_axis(rng) * (1.0 + tol.norm * rng.uniform(-1.0, 1.0))
+            factors = alternating(list(rng.uniform(-7.0, 7.0, size=300)),
+                                  rng.choice([AxisLabel.M, AxisLabel.N]))
+            assert any(rot(m if f.label is AxisLabel.M else n, f.angle).norm_error()
+                       > 0.5 * tol.norm for f in factors)
+            got = replay_factors(factors, m, n, tol)
+            assert got.components() == fold_replay(factors, m, n, tol).components()
+
+    def test_empty_list_is_identity(self):
+        assert replay_factors([], EZ, EX) == IDENTITY
+        # Neither axis is used, so neither is validated.
+        assert replay_factors([], [1.0, 1.0, 0.0], [math.nan, 0.0, 0.0]) == IDENTITY
+
+    def test_unused_invalid_axis_is_not_checked(self):
+        factors = [Factor(AxisLabel.M, a) for a in (0.3, -1.1, 2.0)]
+        for bad_n in ([1.0, 1.0, 0.0], [math.nan, 0.0, 1.0], [1.0, 0.0]):
+            got = replay_factors(factors, EZ, bad_n)
+            assert got.components() == fold_replay(factors, EZ, bad_n).components()
+
+    def test_used_invalid_axis_raises(self):
+        with pytest.raises(InvalidAxisError):
+            replay_factors([Factor(AxisLabel.M, 0.3)], [math.nan, 0.0, 1.0], EX)
+        with pytest.raises(InvalidAxisError):
+            replay_factors(alternating([0.3, 0.4]), EZ, [1.0, 1.0, 0.0])
+
+
+class TestNonFiniteAxes:
+    def test_decompose_min_rejects_nan_axis(self):
+        with pytest.raises(InvalidAxisError):
+            decompose_min(rot(EY, 0.4), [math.nan, 0.0, 1.0], EX)
+        with pytest.raises(InvalidAxisError):
+            decompose_min(rot(EY, 0.4), EZ, [1.0, math.inf, 0.0])
+
+
+PUBLIC_CONSTRUCTION = {
+    "odd": decompose_odd,
+    "even-mn": decompose_even,
+    "even-nm": decompose_even_reversed,
+}
+
+
+def pinned_cases():
+    """Seeded (u, m, n) with m.n > 0: four of each (parity, swapped) pair."""
+    rng = np.random.default_rng(120)
+    want = {(p, s): 4 for p in PUBLIC_CONSTRUCTION for s in (False, True)}
+    cases = []
+    while any(want.values()):
+        m, n = random_pair(rng, 0.2, 1.5)
+        u = random_su2(rng)
+        analysis = analyze(u, m, n)
+        key = (analysis.report.chosen_parity, analysis.governing.swapped)
+        if want[key]:
+            want[key] -= 1
+            cases.append((u, m, n))
+    return cases
+
+
+class TestDecomposeMinPinned:
+    """``decompose_min`` is the public construction for the governing pair,
+    relabelled for the caller's axes, with one replay."""
+
+    @pytest.mark.parametrize("m_sign", [1.0, -1.0])
+    def test_equals_relabelled_public_construction(self, m_sign):
+        for u, m, n in pinned_cases():
+            mm = m_sign * m
+            analysis = analyze(u, mm, n)
+            assert analysis.pair.m_flipped is (m_sign < 0)
+            build = PUBLIC_CONSTRUCTION[analysis.report.chosen_parity]
+            inner = build(u, analysis.governing)
+            expected = []
+            for f in inner.factors:
+                label = f.label.other if analysis.governing.swapped else f.label
+                angle = -f.angle if (label is AxisLabel.M and m_sign < 0) else f.angle
+                expected.append(Factor(label, normalize_angle(angle)))
+            dec = decompose_min(u, mm, n)
+            assert dec.factors == tuple(expected)
+            assert dec.plan == inner.plan
+            assert dec.beta_prime == inner.beta_prime
+            assert dec.parity == inner.parity
+
+    def test_one_replay_per_call(self, monkeypatch):
+        calls = []
+        replay = synthesis.replay_factors
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return replay(*args, **kwargs)
+
+        monkeypatch.setattr(synthesis, "replay_factors", counting)
+        for u, m, n in pinned_cases():
+            for mm in (m, -m):
+                for trim in (False, True):
+                    calls.clear()
+                    dec = decompose_min(u, mm, n, trim=trim)
+                    assert len(calls) == 1
+                    assert dec.residual <= 1e-9
+
+    def test_other_lift_costs_one_more_replay(self, monkeypatch):
+        # Shifting every slab's n-angle by 2*pi negates each slab's product,
+        # so a chain with an odd number of slabs first lands on -u.
+        calls = []
+        replay, solve = synthesis.replay_factors, synthesis.solve_triple
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return replay(*args, **kwargs)
+
+        def shifted(*args, **kwargs):
+            trip = solve(*args, **kwargs)
+            return trip._replace(theta=trip.theta + 2.0 * math.pi)
+
+        monkeypatch.setattr(synthesis, "replay_factors", counting)
+        monkeypatch.setattr(synthesis, "solve_triple", shifted)
+        flipped = 0
+        for u, m, n in pinned_cases():
+            calls.clear()
+            dec = decompose_min(u, m, n)
+            odd_slabs = len(dec.plan.slabs) % 2 == 1
+            assert len(calls) == (2 if odd_slabs else 1)
+            assert dec.residual <= 1e-9
+            assert dec.count == count_min(u, m, n).n_min
+            flipped += odd_slabs
+        assert flipped > 0
