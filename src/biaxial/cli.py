@@ -12,7 +12,8 @@ or stdin and write JSON to a file or stdout::
 Exit codes: 0 success, 1 verification or certificate failure, 2 parse or
 validation error, 3 parallel axes, 4 reconstruction residual breach.  The
 environment variable ``BIAXIAL_TOL`` overrides every default tolerance; the
-``--tol`` flag overrides both.
+``--tol`` flag overrides both, and the environment is then not read.  A
+tolerance that is not a finite number >= 0 exits with code 2.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import sys
 from typing import Any
 
 from .config import Tolerances
-from .core import quat_distance, unit_axis
 from .counting import AxisPair, analyze, worst_case_witness
 from .errors import AxesParallelError, BiaxialError, PatternError
 from .oracle import geodesic_bound_check, minimality_certificate
@@ -34,11 +34,11 @@ from .serialization import (
     parse_instance,
 )
 from .synthesis import (
-    AxisLabel,
     Branch,
-    Factor,
+    Decomposition,
     decompose_min,
-    replay_factors,
+    normalized_factors,
+    verify_decomposition,
 )
 
 EXIT_OK = 0
@@ -67,12 +67,9 @@ def _write_json(path: str, obj: Any) -> None:
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
-    tol = Tolerances.from_env()
     if args.tol is not None:
-        value = args.tol
-        tol = Tolerances(norm=value, orth=value, angle=value, parallel=value,
-                         ceil=value, recon=value)
-    return tol
+        return Tolerances.uniform(args.tol)
+    return Tolerances.from_env()
 
 
 def _parse_t_params(text: str | None) -> list[float] | None:
@@ -88,28 +85,19 @@ def _cmd_count(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[in
     return EXIT_OK, certificate_to_obj(cert)
 
 
+def _decomposition_result(dec: Decomposition, tol: Tolerances) -> tuple[int, Any]:
+    cert = make_certificate(dec.report, dec.pair, dec.target, dec)
+    code = EXIT_RESIDUAL if dec.residual > tol.recon else EXIT_OK
+    return code, certificate_to_obj(cert)
+
+
 def _cmd_decompose(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[int, Any]:
     instance = parse_instance(item, tol)
-    result = analyze(instance.target, instance.m, instance.n, tol)
     branch = Branch(args.branch) if args.branch else None
     dec = decompose_min(instance.target, instance.m, instance.n,
                         t_params=_parse_t_params(args.t_params),
                         branch=branch, trim=args.trim, tol=tol)
-    cert = make_certificate(result.report, result.pair, instance.target, dec)
-    if dec.residual > tol.recon:
-        return EXIT_RESIDUAL, certificate_to_obj(cert)
-    return EXIT_OK, certificate_to_obj(cert)
-
-
-def _factors_about_pair(factors: tuple[Factor, ...], pair: AxisPair) -> list[Factor]:
-    """Relabel raw-axis factors to the normalized pair axes for bound checks."""
-    out = []
-    for f in factors:
-        angle = f.angle
-        if f.label is AxisLabel.M and pair.m_flipped:
-            angle = -angle
-        out.append(Factor(f.label, angle))
-    return out
+    return _decomposition_result(dec, tol)
 
 
 def _cmd_verify(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[int, Any]:
@@ -120,13 +108,14 @@ def _cmd_verify(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[i
     if cert.factors is None:
         raise ValueError("certificate has no factors to replay")
     declared = cert.residual if cert.residual is not None else 0.0
-    product = replay_factors(cert.factors, instance.m, instance.n, tol)
-    residual = quat_distance(product, instance.target)
+    dec = Decomposition(factors=cert.factors, target=instance.target,
+                        axis_m=instance.m, axis_n=instance.n,
+                        pair=AxisPair.from_axes(instance.m, instance.n, tol),
+                        parity=cert.parity, residual=declared)
+    residual = verify_decomposition(dec, tol).residual
     residual_ok = residual <= declared + VERIFY_SLACK
-    pair = AxisPair.from_axes(instance.m, instance.n, tol)
     try:
-        bounds = geodesic_bound_check(
-            _factors_about_pair(cert.factors, pair), pair, tol=tol)
+        bounds = geodesic_bound_check(normalized_factors(dec, tol), dec.pair, tol=tol)
         bounds_ok = bounds.passed
     except PatternError:
         bounds_ok = False
@@ -144,16 +133,10 @@ def _cmd_verify(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[i
 def _cmd_worst_case(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[int, Any]:
     if not isinstance(item, dict) or "m" not in item or "n" not in item:
         raise ValueError('worst-case input must carry "m" and "n"')
-    m = unit_axis([float(v) for v in item["m"]], tol)
-    n = unit_axis([float(v) for v in item["n"]], tol)
-    pair = AxisPair.from_axes(m, n, tol)
-    witness = worst_case_witness(pair, tol)
-    result = analyze(witness, m, n, tol)
-    dec = decompose_min(witness, m, n, tol=tol)
-    cert = make_certificate(result.report, result.pair, witness, dec)
-    if dec.residual > tol.recon:
-        return EXIT_RESIDUAL, certificate_to_obj(cert)
-    return EXIT_OK, certificate_to_obj(cert)
+    m = [float(v) for v in item["m"]]
+    n = [float(v) for v in item["n"]]
+    witness = worst_case_witness(AxisPair.from_axes(m, n, tol), tol)
+    return _decomposition_result(decompose_min(witness, m, n, tol=tol), tol)
 
 
 def _cmd_oracle(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[int, Any]:
@@ -209,7 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler = _HANDLERS[args.command]
-    tol = _tolerances(args)
+    try:
+        tol = _tolerances(args)
+    except ValueError as exc:
+        print(f"biaxial: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         payload = _read_json(args.input)
     except (OSError, json.JSONDecodeError) as exc:

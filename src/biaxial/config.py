@@ -7,6 +7,7 @@ counts stable at exact branch boundaries.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -21,14 +22,28 @@ class Tolerances:
     recon: float = 1e-9  # reconstruction residual bound for decompositions
 
     @classmethod
+    def uniform(cls, value: float) -> "Tolerances":
+        """One tolerance ``value`` for every field.
+
+        Raises ``ValueError`` unless ``value`` is finite and >= 0 (a NaN
+        tolerance would pass every admission check).
+        """
+        value = float(value)
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"tolerance must be finite and >= 0, got {value!r}")
+        return cls(norm=value, orth=value, angle=value, parallel=value,
+                   ceil=value, recon=value)
+
+    @classmethod
     def from_env(cls, env_var: str = "BIAXIAL_TOL") -> "Tolerances":
         """Build tolerances, letting the environment override every field."""
         raw = os.environ.get(env_var)
         if raw is None:
             return cls()
-        value = float(raw)
-        return cls(norm=value, orth=value, angle=value, parallel=value,
-                   ceil=value, recon=value)
+        try:
+            return cls.uniform(float(raw))
+        except ValueError as exc:
+            raise ValueError(f"{env_var}={raw!r}: {exc}") from None
 
 
 DEFAULT_TOL = Tolerances()

@@ -35,6 +35,7 @@ __all__ = [
     "to_so3",
     "from_so3",
     "euler_zyz",
+    "from_euler_zyz",
     "frame_for",
     "generalized_euler",
     "geodesic",
@@ -175,6 +176,9 @@ def from_so3(d, tol: Tolerances = DEFAULT_TOL) -> Su2Element:
     m = np.asarray(d, dtype=float)
     if m.shape != (3, 3):
         raise InvalidRotationError(f"rotation matrix must be 3x3, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        # NaN entries would pass the comparisons below, which are false for NaN.
+        raise InvalidRotationError("rotation matrix entries must be finite")
     # Entry tolerance calibrated to the unit-norm admission scale.
     if np.abs(m.T @ m - np.eye(3)).max() > 4.0 * tol.norm:
         raise InvalidRotationError("matrix is not orthogonal within tolerance")
@@ -249,6 +253,17 @@ def euler_zyz(u: Su2Element, tol: Tolerances = DEFAULT_TOL) -> EulerTriple:
                        normalize_angle(half_sum + half_diff))
 
 
+def from_euler_zyz(alpha: float, beta: float, gamma: float,
+                   tol: Tolerances = DEFAULT_TOL) -> Su2Element:
+    """The product rot(z, alpha) * rot(y, beta) * rot(z, gamma).
+
+    The inverse of :func:`euler_zyz`: ``from_euler_zyz(*euler_zyz(u))``
+    reproduces ``u`` with its quaternion sign.
+    """
+    return compose(rot(_EZ, alpha, tol),
+                   compose(rot(_EY, beta, tol), rot(_EZ, gamma, tol), tol), tol)
+
+
 @dataclass(frozen=True, eq=False)
 class Frame:
     """Orthogonal axis pair (l, m) together with a quaternion ``u`` that
@@ -280,8 +295,8 @@ def frame_for(l, m, tol: Tolerances = DEFAULT_TOL) -> Frame:
     lz = lv[2]
     l1 = np.array([cb * lx - sb * lz, ly, sb * lx + cb * lz])
     gamma_t = math.atan2(0.0 - l1[0], l1[1])
-    u = compose(rot(_EZ, alpha_t), compose(rot(_EY, beta_t), rot(_EZ, gamma_t)))
-    return Frame(l=lv, m=mv, u=u)
+    # Default tolerances: the frame element must not depend on the caller's.
+    return Frame(l=lv, m=mv, u=from_euler_zyz(alpha_t, beta_t, gamma_t))
 
 
 def generalized_euler(u: Su2Element, frame: Frame,

@@ -1,7 +1,7 @@
 """Closed-form minimal factor counts for two-axis rotation synthesis.
 
-Given unit axes m, n with gap ``delta = arccos(m.n)`` normalized into
-``(0, pi/2]``, the minimum number of alternating rotations about m and n
+Given unit axes m, n with gap ``delta = atan2(|m x n|, m.n)`` normalized
+into ``(0, pi/2]``, the minimum number of alternating rotations about m and n
 realizing a target splits by parity of the factor count:
 
     odd  (m first and last):  2*ceil(beta / (2*delta)) + 1
@@ -31,7 +31,7 @@ from .core import (
     rot,
     unit_axis,
 )
-from .errors import AxesParallelError
+from .errors import AxesParallelError, InvalidRotationError
 
 __all__ = [
     "AxisPair",
@@ -115,9 +115,9 @@ class AxisPair:
     """Normalized two-axis context.
 
     ``m`` is sign-flipped if needed so that ``m . n >= 0``, putting the gap
-    ``delta = arccos(m . n)`` in ``(0, pi/2]``, and ``l`` is the unit normal
-    ``m x n / |m x n|``.  ``swapped`` marks pairs produced by exchanging the
-    roles of m and n (which also flips l).
+    ``delta = atan2(|m x n|, m . n)`` in ``(0, pi/2]``, and ``l`` is the unit
+    normal ``m x n / |m x n|``.  ``swapped`` marks pairs produced by
+    exchanging the roles of m and n (which also flips l).
     """
 
     m: np.ndarray
@@ -139,9 +139,12 @@ class AxisPair:
         if flipped:
             m = -m
             dot = -dot
-        delta = math.acos(min(1.0, max(-1.0, dot)))
+        # acos(m.n) would lose about 1e-16/delta of absolute accuracy at small
+        # gaps (and, before the sign flip, near pi); atan2 keeps it relative.
         cross = np.cross(m, n)
-        l = cross / np.linalg.norm(cross)
+        sin_delta = float(np.linalg.norm(cross))
+        delta = math.atan2(sin_delta, dot)
+        l = cross / sin_delta
         return cls(m=m, n=n, delta=delta, l=l, m_flipped=flipped)
 
     def swap(self) -> "AxisPair":
@@ -180,6 +183,8 @@ class Analysis:
 
 def analyze(u: Su2Element, m_raw, n_raw, tol: Tolerances = DEFAULT_TOL) -> Analysis:
     """Pick the governing axis order, factor the target, compute all counts."""
+    if not all(math.isfinite(c) for c in u.components()):
+        raise InvalidRotationError(f"target must be finite, got {u.components()}")
     pair = AxisPair.from_axes(m_raw, n_raw, tol)
     governing = pair
     # The closed-form minimum needs the governing axis to carry at least as
@@ -237,14 +242,7 @@ def _lowenthal_from_delta(delta: float, tol: Tolerances) -> int:
 
 def lowenthal_bound(m_raw, n_raw, tol: Tolerances = DEFAULT_TOL) -> int:
     """Worst case of the minimum count over all targets: ``ceil(pi/delta) + 1``."""
-    m = unit_axis(m_raw, tol)
-    n = unit_axis(n_raw, tol)
-    dot = abs(float(m @ n))
-    if dot >= 1.0 - tol.parallel:
-        raise AxesParallelError(
-            f"axes are parallel within tolerance (|m.n| = {dot:.12g})")
-    delta = math.acos(min(1.0, dot))
-    return _lowenthal_from_delta(delta, tol)
+    return _lowenthal_from_delta(AxisPair.from_axes(m_raw, n_raw, tol).delta, tol)
 
 
 def worst_case_witness(pair: AxisPair, tol: Tolerances = DEFAULT_TOL) -> Su2Element:

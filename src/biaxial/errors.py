@@ -10,7 +10,8 @@ class InvalidAxisError(BiaxialError):
 
 
 class InvalidRotationError(BiaxialError):
-    """3x3 matrix is not orthogonal with determinant one within tolerance."""
+    """Target is not finite, or a 3x3 matrix is not orthogonal with
+    determinant one within tolerance."""
 
 
 class InvalidFrameError(BiaxialError):

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .counting import AxisPair, count_min
+from .counting import AxisPair
 from .core import Su2Element, geodesic, normalize_angle, to_so3
 from .errors import PatternError
 from .synthesis import AxisLabel, Factor, decompose_min, replay_factors
@@ -272,16 +272,14 @@ def minimality_certificate(u: Su2Element, m_raw, n_raw, starts: int = 64,
     shorter (both first-axis choices) stays above the infeasibility residual
     under multistart search.  Infeasibility is evidence, not proof.
     """
-    report = count_min(u, m_raw, n_raw, tol)
-    n = report.n_min
     dec = decompose_min(u, m_raw, n_raw, tol=tol)
+    n = dec.report.n_min
     construction_ok = dec.residual <= tol.recon and dec.count == n
     refutations = []
     infeasible_ok = True
     if n > 1:
-        pair = AxisPair.from_axes(m_raw, n_raw, tol)
         for first_axis in (AxisLabel.M, AxisLabel.N):
-            result = numeric_search(u, pair, PatternSpec(n - 1, first_axis),
+            result = numeric_search(u, dec.pair, PatternSpec(n - 1, first_axis),
                                     starts=starts, seed=seed,
                                     stop_below=INFEASIBLE_RESIDUAL, tol=tol)
             refutations.append((n - 1, first_axis.value, result.best_residual))

@@ -16,14 +16,16 @@ any counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .core import Su2Element, compose, from_so3, rot, unit_axis
+from .core import Su2Element, from_euler_zyz, from_so3, rot, unit_axis
 from .counting import AxisPair, CountReport
+from .errors import InvalidRotationError
 from .synthesis import AxisLabel, Decomposition, Factor
 
 __all__ = [
@@ -37,9 +39,6 @@ __all__ = [
 ]
 
 TARGET_ENCODINGS = ("su2", "so3", "axis_angle", "euler_zyz")
-
-_EY = np.array([0.0, 1.0, 0.0])
-_EZ = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,6 +73,13 @@ def _vector3(obj: Any, name: str) -> list[float]:
     return [float(v) for v in obj]
 
 
+def _finite(values: list[float], name: str) -> list[float]:
+    # NaN would pass the norm check (comparisons with NaN are false).
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidRotationError(f"{name} target must be finite, got {values}")
+    return values
+
+
 def _parse_target(obj: Any, tol: Tolerances) -> tuple[Su2Element, str]:
     if not isinstance(obj, Mapping):
         raise ValueError("target must be an object with one encoding key")
@@ -84,7 +90,7 @@ def _parse_target(obj: Any, tol: Tolerances) -> tuple[Su2Element, str]:
     kind = keys[0]
     value = obj[kind]
     if kind == "su2":
-        comp = [float(v) for v in value]
+        comp = _finite([float(v) for v in value], kind)
         if len(comp) != 4:
             raise ValueError("su2 target must be [w, x, y, z]")
         norm = sum(c * c for c in comp)
@@ -101,14 +107,12 @@ def _parse_target(obj: Any, tol: Tolerances) -> tuple[Su2Element, str]:
         if not isinstance(value, Mapping) or "axis" not in value or "angle" not in value:
             raise ValueError('axis_angle target must be {"axis": [...], "angle": t}')
         axis = _vector3(value["axis"], "axis_angle.axis")
-        return rot(axis, float(value["angle"]), tol), kind
-    triple = [float(v) for v in value]
+        angle, = _finite([float(value["angle"])], kind)
+        return rot(axis, angle, tol), kind
+    triple = _finite([float(v) for v in value], kind)
     if len(triple) != 3:
         raise ValueError("euler_zyz target must be [alpha, beta, gamma]")
-    alpha, beta, gamma = triple
-    u = compose(rot(_EZ, alpha, tol),
-                compose(rot(_EY, beta, tol), rot(_EZ, gamma, tol), tol), tol)
-    return u, kind
+    return from_euler_zyz(*triple, tol), kind
 
 
 def parse_instance(obj: Any, tol: Tolerances = DEFAULT_TOL) -> ProblemInstance:

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .counting import AxisPair, analyze, ceil_snapped
+from .counting import AxisPair, CountReport, analyze, ceil_snapped
 from .core import (
     IDENTITY,
     Frame,
@@ -109,7 +109,8 @@ class Decomposition:
     replaying the factors left to right (last applied first) reproduces the
     target with exact quaternion sign up to ``residual``.  ``parity`` is
     stated in the governing (normalized) axis order; when the pair was
-    swapped the caller-visible label order is reversed.
+    swapped the caller-visible label order is reversed.  ``report`` is the
+    analysis :func:`decompose_min` ran; the per-parity constructions run none.
     """
 
     factors: tuple[Factor, ...]
@@ -121,6 +122,7 @@ class Decomposition:
     residual: float
     plan: SynthesisPlan | None = None
     beta_prime: float | None = None
+    report: CountReport | None = None
 
     @property
     def count(self) -> int:
@@ -321,7 +323,8 @@ def _even_chain(u: Su2Element, pair: AxisPair, frame: Frame,
 def _finish(chain: _Chain, u: Su2Element, pair: AxisPair, parity: str,
             axis_m: np.ndarray, axis_n: np.ndarray, tol: Tolerances, *,
             reverse: bool = False, swapped: bool = False,
-            m_flipped: bool = False, trim: bool = False) -> Decomposition:
+            m_flipped: bool = False, trim: bool = False,
+            report: CountReport | None = None) -> Decomposition:
     """Turn a raw chain into the reported factors and replay them.
 
     The chain goes through these angle transforms in order: reduce into
@@ -368,7 +371,7 @@ def _finish(chain: _Chain, u: Su2Element, pair: AxisPair, parity: str,
     return Decomposition(factors=factors, target=u, axis_m=axis_m,
                          axis_n=axis_n, pair=pair, parity=parity,
                          residual=residual, plan=chain.plan,
-                         beta_prime=chain.beta_prime)
+                         beta_prime=chain.beta_prime, report=report)
 
 
 def replay_factors(factors: Sequence[Factor], axis_m, axis_n,
@@ -465,7 +468,8 @@ def decompose_min(u: Su2Element, m_raw, n_raw,
     labels and angle signs back from the normalized governing axes to the
     axes as given.  With ``trim`` set, zero-angle factors at the ends are
     elided, which may undercut the formal count.  The factors are replayed
-    once (twice when the first replay lands on the other lift).
+    once (twice when the first replay lands on the other lift), and the
+    analysis is returned as ``report``.
     """
     analysis = analyze(u, m_raw, n_raw, tol)
     parity = analysis.report.chosen_parity
@@ -476,7 +480,8 @@ def decompose_min(u: Su2Element, m_raw, n_raw,
     return _finish(chain, u, analysis.pair, parity,
                    np.asarray(m_raw, dtype=float), np.asarray(n_raw, dtype=float),
                    tol, reverse=parity == "even-nm", swapped=governing.swapped,
-                   m_flipped=analysis.pair.m_flipped, trim=trim)
+                   m_flipped=analysis.pair.m_flipped, trim=trim,
+                   report=analysis.report)
 
 
 def normalized_factors(d: Decomposition, tol: Tolerances = DEFAULT_TOL) -> tuple[Factor, ...]:

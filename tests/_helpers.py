@@ -11,6 +11,9 @@ import math
 
 import numpy as np
 
+import biaxial.cli
+import biaxial.counting
+import biaxial.synthesis
 from biaxial import Su2Element, f_angle, overlap_b
 from biaxial.counting import analyze
 
@@ -133,3 +136,20 @@ def pair_frame_margin(u: Su2Element, pair) -> float:
         abs(f_mn - delta),
     ]
     return min(margins)
+
+
+def count_analyze_calls(monkeypatch) -> list:
+    """Record every ``counting.analyze`` call, wherever the library binds it.
+
+    Returns the list that grows by one entry per call.
+    """
+    calls = []
+    analyze_fn = biaxial.counting.analyze
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return analyze_fn(*args, **kwargs)
+
+    for module in (biaxial.counting, biaxial.synthesis, biaxial.cli):
+        monkeypatch.setattr(module, "analyze", counted)
+    return calls

@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from biaxial import Tolerances
 from biaxial.cli import main
+from _helpers import count_analyze_calls
 
 EX = [1.0, 0.0, 0.0]
 EY = [0.0, 1.0, 0.0]
@@ -22,6 +24,19 @@ def run_cli(tmp_path, capsys, command, payload, extra=None):
     code = main(argv)
     out = capsys.readouterr().out
     return code, (json.loads(out) if out.strip() else None)
+
+
+def batch(count):
+    """``count`` instances at three gaps, with m and n flipped in turn."""
+    items = []
+    for i in range(count):
+        delta = (0.5 * math.pi, 1.0, 0.3)[i % 3]
+        m = EZ if i % 2 else [0.0, 0.0, -1.0]
+        n = [math.sin(delta), 0.0, math.cos(delta) * (-1.0 if i % 4 == 3 else 1.0)]
+        angle = 0.4 + 0.7 * i
+        items.append({"m": m, "n": n, "target": {"axis_angle": {
+            "axis": [math.cos(angle), math.sin(angle), 0.0], "angle": 2.0 + 0.1 * i}}})
+    return items
 
 
 class TestCount:
@@ -159,6 +174,48 @@ class TestWorstCase:
         assert out["residual"] <= 1e-9
 
 
+class TestOneAnalysis:
+    """Each CLI answer comes from one analysis of its target."""
+
+    def test_decompose_runs_one_analysis_per_item(self, tmp_path, capsys, monkeypatch):
+        calls = count_analyze_calls(monkeypatch)
+        items = batch(6)
+        code, out = run_cli(tmp_path, capsys, "decompose", items)
+        assert code == 0
+        assert len(out) == len(items)
+        assert len(calls) == len(items)
+
+    def test_worst_case_runs_one_analysis_per_item(self, tmp_path, capsys, monkeypatch):
+        calls = count_analyze_calls(monkeypatch)
+        items = [{"m": it["m"], "n": it["n"]} for it in batch(4)]
+        code, out = run_cli(tmp_path, capsys, "worst-case", items)
+        assert code == 0
+        assert all(o["count"] == o["lowenthal"] for o in out)
+        assert len(calls) == len(items)
+
+
+class TestNonFiniteTarget:
+    @pytest.mark.parametrize("target", [
+        {"su2": [math.nan, 0.0, 0.0, 1.0]},
+        {"so3": [1.0, 0.0, 0.0, 0.0, 1.0, math.nan, 0.0, 0.0, 1.0]},
+        {"axis_angle": {"axis": EY, "angle": math.inf}},
+        {"euler_zyz": [0.3, math.nan, 0.1]},
+    ])
+    @pytest.mark.parametrize("command", ["count", "decompose", "verify"])
+    def test_exit_2_with_message(self, tmp_path, capsys, command, target):
+        inp = tmp_path / "in.json"
+        item = {"m": EZ, "n": EX, "target": target}
+        if command == "verify":
+            item = {"instance": item, "certificate": {}}
+        # json.dumps writes NaN and Infinity, which json.load reads back.
+        inp.write_text(json.dumps(item))
+        code = main([command, "--input", str(inp)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "finite" in captured.err
+
+
 class TestOracle:
     def test_worked_instance(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, capsys, "oracle", WORKED,
@@ -198,6 +255,44 @@ class TestTolOverride:
         code, out = run_cli(tmp_path, capsys, "count", WORKED, ["--tol", "1e-9"])
         assert code == 0
         assert out["count"] == 2
+
+    def test_flag_skips_env(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BIAXIAL_TOL", "abc")
+        code, out = run_cli(tmp_path, capsys, "count", WORKED, ["--tol", "1e-9"])
+        assert code == 0
+        assert out["count"] == 2
+
+    def test_bad_env_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BIAXIAL_TOL", "abc")
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps(WORKED))
+        code = main(["count", "--input", str(inp)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "BIAXIAL_TOL" in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_bad_flag_exits_2(self, tmp_path, capsys, value):
+        # With a NaN tolerance every admission comparison is false, so this
+        # off-unit axis and target would be answered.
+        payload = {"m": [0.0, 0.0, 5.0], "n": EX, "target": {"su2": [3.0, 0.0, 0.0, 0.0]}}
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps(payload))
+        code = main(["count", "--input", str(inp), "--tol", value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "tolerance must be finite" in captured.err
+
+    def test_uniform_sets_every_field(self):
+        tol = Tolerances.uniform(1e-6)
+        assert tol == Tolerances(norm=1e-6, orth=1e-6, angle=1e-6, parallel=1e-6,
+                                 ceil=1e-6, recon=1e-6)
+        assert Tolerances.uniform(0.0).recon == 0.0
+        for bad in (math.nan, math.inf, -1e-9):
+            with pytest.raises(ValueError):
+                Tolerances.uniform(bad)
 
     def test_output_file(self, tmp_path, capsys):
         inp = tmp_path / "in.json"

@@ -27,6 +27,7 @@ from biaxial import (
     to_so3,
     unit_axis,
 )
+from biaxial.core import from_euler_zyz
 from _helpers import matrix_distance, random_axis, random_su2, rot_matrix, su2_matrix
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -175,6 +176,13 @@ class TestFromSo3:
         with pytest.raises(InvalidRotationError):
             from_so3(np.diag([1.0, 1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        d = np.eye(3)
+        d[1, 2] = bad
+        with pytest.raises(InvalidRotationError, match="finite"):
+            from_so3(d)
+
 
 class TestEulerZyz:
     def test_identity_canonical(self):
@@ -202,6 +210,20 @@ class TestEulerZyz:
             assert 0.0 <= beta <= math.pi
             rebuilt = compose(rot(EZ, alpha), compose(rot(EY, beta), rot(EZ, gamma)))
             assert quat_distance(rebuilt, u) < 1e-12
+
+    def test_from_euler_zyz_inverts_euler_zyz(self):
+        rng = np.random.default_rng(17)
+        targets = [random_su2(rng) for _ in range(500)]
+        # Degenerate triples: beta at 0 and pi, both lifts of the identity.
+        targets += [IDENTITY, negate(IDENTITY), rot(EZ, 0.7), rot(EY, math.pi),
+                    compose(rot(EX, math.pi), rot(EZ, 0.3))]
+        for u in targets:
+            assert quat_distance(from_euler_zyz(*euler_zyz(u)), u) < 1e-12
+
+    def test_from_euler_zyz_is_the_zyz_product(self):
+        alpha, beta, gamma = 0.4, 2.1, -1.3
+        expected = compose(rot(EZ, alpha), compose(rot(EY, beta), rot(EZ, gamma)))
+        assert from_euler_zyz(alpha, beta, gamma) == expected
 
     def test_beta_from_first_matrix_row(self):
         # cos(beta/2) and sin(beta/2) are the moduli of the first-row entries.

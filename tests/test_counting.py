@@ -9,6 +9,8 @@ from biaxial import (
     AxesParallelError,
     AxisPair,
     IDENTITY,
+    InvalidRotationError,
+    Su2Element,
     beta_prime_of,
     ceil_snapped,
     compose,
@@ -281,6 +283,37 @@ class TestLowenthal:
         assert lowenthal_bound(EZ, n) == ceil_snapped(math.pi / delta) + 1
         with pytest.raises(AxesParallelError):
             lowenthal_bound(EZ, n, tol=Tolerances(parallel=1e-5))
+
+
+    def test_antiparallel_within_tolerance_message(self):
+        # lowenthal_bound admits its axes through AxisPair.from_axes; the
+        # error type and message are those of the admission it replaced.
+        n = [math.sin(1e-5), 0.0, -math.cos(1e-5)]
+        with pytest.raises(AxesParallelError) as info:
+            lowenthal_bound(EZ, n)
+        assert str(info.value) == (
+            "axes are parallel within tolerance (|m.n| = 0.99999999995)")
+
+
+class TestGapConditioning:
+    @pytest.mark.parametrize("delta", [1e-4, 1e-3, 0.3, 1.5])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_gap_keeps_relative_accuracy(self, delta, sign):
+        # acos(cos(delta)) loses about 1e-16/delta absolute; the gap is
+        # computed from |m x n| as well, so it stays within a few ulps.
+        n = sign * (math.sin(delta) * EX + math.cos(delta) * EZ)
+        pair = AxisPair.from_axes(EZ, n)
+        assert pair.m_flipped is (sign < 0)
+        assert abs(pair.delta - delta) <= 4.0 * math.ulp(delta)
+
+
+class TestNonFiniteTarget:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_count_min_rejects_non_finite_target(self, bad):
+        with pytest.raises(InvalidRotationError, match="finite"):
+            count_min(Su2Element(bad, 0.0, 0.0, 1.0), EZ, EX)
+        with pytest.raises(InvalidRotationError, match="finite"):
+            count_min(Su2Element(0.0, 1.0, bad, 0.0), EZ, EX)
 
 
 class TestWorstCase:

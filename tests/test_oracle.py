@@ -10,6 +10,7 @@ from biaxial import (
     AxisPair,
     Factor,
     IDENTITY,
+    InvalidRotationError,
     PatternError,
     PatternSpec,
     count_min,
@@ -22,9 +23,10 @@ from biaxial import (
     normalized_factors,
     numeric_search,
     rot,
+    Su2Element,
     worst_case_witness,
 )
-from _helpers import random_instance, random_pair, random_su2
+from _helpers import count_analyze_calls, random_instance, random_pair, random_su2
 
 EX = np.array([1.0, 0.0, 0.0])
 EZ = np.array([0.0, 0.0, 1.0])
@@ -147,6 +149,17 @@ class TestMinimalityCertificate:
         report = minimality_certificate(witness, pair.m, pair.n, starts=32, seed=0)
         assert report.passed
         assert report.n_min == 4
+
+    def test_one_analysis_per_call(self, monkeypatch):
+        calls = count_analyze_calls(monkeypatch)
+        u = rot(np.array([0.0, 1.0, 0.0]), math.pi)
+        report = minimality_certificate(u, -EZ, EX, starts=4, seed=0)
+        assert report.n_min == 2
+        assert len(calls) == 1
+
+    def test_non_finite_target_rejected(self):
+        with pytest.raises(InvalidRotationError):
+            minimality_certificate(Su2Element(math.nan, 0.0, 0.0, 1.0), EZ, EX)
 
     def test_randomized_sample(self):
         rng = np.random.default_rng(43)

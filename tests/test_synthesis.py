@@ -14,6 +14,7 @@ from biaxial import (
     IDENTITY,
     InfeasibleSlabError,
     InvalidAxisError,
+    InvalidRotationError,
     InvalidSlabError,
     compose,
     count_min,
@@ -32,6 +33,7 @@ from biaxial import (
     replay_factors,
     rot,
     solve_triple,
+    Su2Element,
     to_so3,
     verify_decomposition,
 )
@@ -463,6 +465,13 @@ class TestNonFiniteAxes:
             decompose_min(rot(EY, 0.4), EZ, [1.0, math.inf, 0.0])
 
 
+class TestNonFiniteTarget:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_decompose_min_rejects_non_finite_target(self, bad):
+        with pytest.raises(InvalidRotationError, match="finite"):
+            decompose_min(Su2Element(bad, 0.0, 0.0, 1.0), EZ, EX)
+
+
 PUBLIC_CONSTRUCTION = {
     "odd": decompose_odd,
     "even-mn": decompose_even,
@@ -552,3 +561,39 @@ class TestDecomposeMinPinned:
             assert dec.count == count_min(u, m, n).n_min
             flipped += odd_slabs
         assert flipped > 0
+
+
+class TestDecomposeMinReport:
+    """``decompose_min`` returns the analysis it ran as ``report``."""
+
+    @pytest.mark.parametrize("m_sign", [1.0, -1.0])
+    def test_report_equals_count_min(self, m_sign):
+        swapped = 0
+        for u, m, n in pinned_cases():
+            mm = m_sign * m
+            for trim in (False, True):
+                dec = decompose_min(u, mm, n, trim=trim)
+                assert dec.report == count_min(u, mm, n)
+                assert dec.pair.m_flipped is (m_sign < 0)
+            swapped += analyze(u, mm, n).governing.swapped
+        assert swapped > 0
+
+    def test_public_constructions_carry_no_report(self):
+        pair = pair_with_delta(1.0)
+        u = rot(EY, 0.8)
+        for build in PUBLIC_CONSTRUCTION.values():
+            assert build(u, pair).report is None
+
+
+class TestSmallGapResidual:
+    @pytest.mark.parametrize("m_sign", [1.0, -1.0])
+    def test_residual_within_recon_at_gap_1e_4(self, m_sign):
+        # At this gap acos(m.n) has an absolute error of about 1e-12, which
+        # the chain of ~3e4 factors turns into residuals of several 1e-9.
+        rng = np.random.default_rng(1004)
+        for _ in range(3):
+            m, n = random_pair(rng, 1e-4, 1e-4)
+            u = random_su2(rng)
+            dec = decompose_min(u, m_sign * m, n)
+            assert dec.count == count_min(u, m_sign * m, n).n_min
+            assert dec.residual <= 1e-9, dec.residual
