@@ -48,7 +48,6 @@ from .errors import (
     InvalidFrameError,
     InvalidRotationError,
     InvalidSlabError,
-    PatternError,
 )
 from .oracle import (
     GeodesicBoundReport,
@@ -71,7 +70,6 @@ from .synthesis import (
     decompose_min,
     decompose_odd,
     h_param,
-    normalized_factors,
     plan_odd,
     replay_factors,
     solve_triple,

@@ -25,8 +25,8 @@ from typing import Any
 
 from .config import Tolerances
 from .counting import AxisPair, analyze, worst_case_witness
-from .errors import AxesParallelError, BiaxialError, PatternError
-from .oracle import geodesic_bound_check, minimality_certificate
+from .errors import AxesParallelError, BiaxialError
+from .oracle import PatternSpec, geodesic_bound_check, minimality_certificate
 from .serialization import (
     certificate_to_obj,
     make_certificate,
@@ -37,7 +37,6 @@ from .synthesis import (
     Branch,
     Decomposition,
     decompose_min,
-    normalized_factors,
     verify_decomposition,
 )
 
@@ -112,17 +111,15 @@ def _cmd_verify(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[i
                         axis_m=instance.m, axis_n=instance.n,
                         pair=AxisPair.from_axes(instance.m, instance.n, tol),
                         parity=cert.parity, residual=declared)
-    residual = verify_decomposition(dec, tol).residual
-    residual_ok = residual <= declared + VERIFY_SLACK
-    try:
-        bounds = geodesic_bound_check(normalized_factors(dec, tol), dec.pair, tol=tol)
-        bounds_ok = bounds.passed
-    except PatternError:
-        bounds_ok = False
+    ver = verify_decomposition(dec, tol)
+    residual_ok = ver.residual <= declared + VERIFY_SLACK
+    factors = cert.factors
+    bounds_ok = (ver.nonempty and ver.alternates and geodesic_bound_check(
+        ver.product, dec.pair, PatternSpec(len(factors), factors[-1].label), tol).passed)
     ok = residual_ok and bounds_ok
     out = {
         "ok": ok,
-        "residual": residual,
+        "residual": ver.residual,
         "declared_residual": declared,
         "residual_ok": residual_ok,
         "bounds_ok": bounds_ok,

@@ -28,7 +28,3 @@ class InvalidSlabError(BiaxialError):
 
 class InfeasibleSlabError(BiaxialError):
     """Slab exceeds twice the axis gap and cannot be realised by one m-n-m triple."""
-
-
-class PatternError(BiaxialError):
-    """Factor sequence does not strictly alternate between the two axes."""

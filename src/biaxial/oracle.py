@@ -16,15 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .counting import AxisPair
 from .core import Su2Element, geodesic, normalize_angle, to_so3
-from .errors import PatternError
-from .synthesis import AxisLabel, Factor, decompose_min, replay_factors
+from .synthesis import AxisLabel, decompose_min
 
 __all__ = [
     "PatternSpec",
@@ -38,6 +36,9 @@ __all__ = [
 
 FEASIBLE_RESIDUAL = 1e-6
 INFEASIBLE_RESIDUAL = 1e-4
+# Allowance on every geodesic bound for rounding in the rotation and the
+# distances.
+BOUND_SLACK = 1e-9
 
 _MAX_SWEEPS = 8000
 _SWEEP_ATOL = 1e-16
@@ -74,11 +75,12 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class GeodesicBoundReport:
-    """Geodesic necessary conditions for one alternating factor sequence.
+    """Geodesic necessary conditions for one rotation and one pattern.
 
-    ``d_self``/``d_cross`` measure how far the product moved the first
-    applied axis from itself and from the other axis; the two bounds that
-    do not apply to the sequence's parity are reported as vacuously true.
+    ``d_self``/``d_cross`` measure how far the rotation moves the pattern's
+    first applied axis from itself and from the other axis; the two bounds
+    that do not apply to the pattern's parity are reported as vacuously
+    true.
     """
 
     length: int
@@ -106,40 +108,36 @@ class MinimalityReport:
     skipped_zero_length: bool
 
 
-def geodesic_bound_check(factors: Sequence[Factor], pair: AxisPair, slack: float = 1e-9,
-                 tol: Tolerances = DEFAULT_TOL) -> GeodesicBoundReport:
-    """Check the sphere-distance bounds an alternating product must obey.
+def geodesic_bound_check(u: Su2Element, pair: AxisPair, pattern: PatternSpec,
+                         tol: Tolerances = DEFAULT_TOL) -> GeodesicBoundReport:
+    """Sphere-distance bounds ``u`` meets if an alternating product of the
+    pattern equals it.
 
-    With ``a`` the first applied axis, ``D`` the rotation matrix of the
-    product and ``delta`` the axis gap: an odd sequence of length
+    ``a`` is the pattern's first applied axis and ``b`` the other one, both
+    read by label from the sign-normalized ``pair``; ``D`` is the rotation
+    matrix of ``u`` and ``delta`` the axis gap.  A product of odd length
     ``2*kbar - 1`` satisfies ``d(D a, a) <= 2*(kbar-1)*delta`` and
-    ``d(D a, b) <= (2*kbar-1)*delta``; an even sequence of length ``2*kbar``
+    ``d(D a, b) <= (2*kbar-1)*delta``; one of even length ``2*kbar``
     satisfies ``d(D a, b) <= (2*kbar-1)*delta`` and
-    ``d(D a, a) <= 2*kbar*delta``.
+    ``d(D a, a) <= 2*kbar*delta``.  A failed bound proves that no product
+    of the pattern equals ``u``; passing proves nothing.
     """
-    if not factors:
-        raise PatternError("empty factor sequence")
-    for f, g in zip(factors, factors[1:]):
-        if f.label is g.label:
-            raise PatternError("factor sequence does not alternate axes")
-    first_applied = factors[-1].label
-    a = pair.m if first_applied is AxisLabel.M else pair.n
-    b = pair.n if first_applied is AxisLabel.M else pair.m
-    product = replay_factors(factors, pair.m, pair.n, tol)
-    d_mat = to_so3(product)
+    a = pair.m if pattern.first_axis is AxisLabel.M else pair.n
+    b = pair.n if pattern.first_axis is AxisLabel.M else pair.m
+    d_mat = to_so3(u)
     d_self = geodesic(d_mat @ a, a, tol)
     d_cross = geodesic(d_mat @ a, b, tol)
-    n = len(factors)
+    n = pattern.k
     delta = pair.delta
     if n % 2 == 1:
         kbar = (n + 1) // 2
-        odd_self_ok = d_self <= 2.0 * (kbar - 1) * delta + slack
-        odd_cross_ok = d_cross <= (2.0 * kbar - 1) * delta + slack
+        odd_self_ok = d_self <= 2.0 * (kbar - 1) * delta + BOUND_SLACK
+        odd_cross_ok = d_cross <= (2.0 * kbar - 1) * delta + BOUND_SLACK
         even_cross_ok = even_self_ok = True
     else:
         kbar = n // 2
-        even_cross_ok = d_cross <= (2.0 * kbar - 1) * delta + slack
-        even_self_ok = d_self <= 2.0 * kbar * delta + slack
+        even_cross_ok = d_cross <= (2.0 * kbar - 1) * delta + BOUND_SLACK
+        even_self_ok = d_self <= 2.0 * kbar * delta + BOUND_SLACK
         odd_self_ok = odd_cross_ok = True
     return GeodesicBoundReport(length=n, kbar=kbar, d_self=d_self, d_cross=d_cross,
                         odd_self_ok=odd_self_ok, odd_cross_ok=odd_cross_ok,

@@ -59,7 +59,6 @@ __all__ = [
     "decompose_min",
     "verify_decomposition",
     "replay_factors",
-    "normalized_factors",
 ]
 
 
@@ -131,6 +130,9 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """Diagnostics of one replay; ``product`` is the replayed rotation."""
+
+    product: Su2Element
     residual: float
     alternates: bool
     angles_in_window: bool
@@ -484,36 +486,16 @@ def decompose_min(u: Su2Element, m_raw, n_raw,
                    report=analysis.report)
 
 
-def normalized_factors(d: Decomposition, tol: Tolerances = DEFAULT_TOL) -> tuple[Factor, ...]:
-    """Re-express factors relative to the normalized pair axes.
-
-    A factor about a sign-flipped axis keeps its label with the angle
-    negated, so the returned list refers to ``d.pair.m`` and ``d.pair.n``.
-    """
-    out = []
-    for f in d.factors:
-        axis = d.axis_m if f.label is AxisLabel.M else d.axis_n
-        pair_axis = d.pair.m if f.label is AxisLabel.M else d.pair.n
-        if float(np.dot(axis, pair_axis)) >= 0.0:
-            out.append(f)
-        else:
-            out.append(Factor(f.label, -f.angle))
-    return tuple(out)
-
-
 def verify_decomposition(d: Decomposition, tol: Tolerances = DEFAULT_TOL) -> VerificationReport:
-    """Replay a decomposition and report structural diagnostics."""
-    if d.factors:
-        prod = replay_factors(d.factors, d.axis_m, d.axis_n, tol)
-        residual = quat_distance(prod, d.target)
-    else:
-        residual = quat_distance(IDENTITY, d.target)
+    """Replay a decomposition once and report structural diagnostics."""
+    prod = replay_factors(d.factors, d.axis_m, d.axis_n, tol)
+    residual = quat_distance(prod, d.target)
     alternates = all(a.label is not b.label
                      for a, b in zip(d.factors, d.factors[1:]))
     in_window = all(-2.0 * math.pi < f.angle <= 2.0 * math.pi + tol.angle
                     for f in d.factors)
     nonempty = len(d.factors) >= 1
     ok = alternates and in_window and nonempty and residual <= tol.recon
-    return VerificationReport(residual=residual, alternates=alternates,
+    return VerificationReport(product=prod, residual=residual, alternates=alternates,
                               angles_in_window=in_window, nonempty=nonempty,
                               ok=ok)

@@ -13,8 +13,16 @@ import numpy as np
 
 import biaxial.cli
 import biaxial.counting
+import biaxial.oracle
 import biaxial.synthesis
-from biaxial import Su2Element, f_angle, overlap_b
+from biaxial import (
+    PatternSpec,
+    Su2Element,
+    f_angle,
+    geodesic_bound_check,
+    overlap_b,
+    verify_decomposition,
+)
 from biaxial.counting import analyze
 
 I2 = np.eye(2, dtype=complex)
@@ -153,3 +161,30 @@ def count_analyze_calls(monkeypatch) -> list:
     for module in (biaxial.counting, biaxial.synthesis, biaxial.cli):
         monkeypatch.setattr(module, "analyze", counted)
     return calls
+
+
+def count_replay_calls(monkeypatch) -> list:
+    """Record every ``synthesis.replay_factors`` call, wherever the library
+    binds it.
+
+    Returns the list that grows by one entry per call.
+    """
+    calls = []
+    replay_fn = biaxial.synthesis.replay_factors
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return replay_fn(*args, **kwargs)
+
+    for module in (biaxial.synthesis, biaxial.oracle, biaxial.cli):
+        if hasattr(module, "replay_factors"):
+            monkeypatch.setattr(module, "replay_factors", counted)
+    return calls
+
+
+def bounds_of(dec):
+    """Geodesic bound report of a decomposition's replayed product against
+    its own pattern."""
+    product = verify_decomposition(dec).product
+    return geodesic_bound_check(product, dec.pair,
+                                PatternSpec(dec.count, dec.factors[-1].label))

@@ -21,12 +21,10 @@ from biaxial import (
     f_angle,
     g_count,
     generalized_euler,
-    geodesic_bound_check,
     lowenthal_bound,
     m_odd_count,
     minimality_certificate,
     negate,
-    normalized_factors,
     numeric_search,
     quat_distance,
     rot,
@@ -35,6 +33,7 @@ from biaxial import (
 )
 from _helpers import (
     boundary_margin,
+    bounds_of,
     haar_angle_below,
     pair_frame_margin,
     random_axis,
@@ -209,7 +208,7 @@ def test_criterion_5_geodesic_bounds_on_produced_decompositions():
     for delta in DELTAS:
         pair = pair_for(delta)
         dec = decompose_min(worst_case_witness(pair), pair.m, pair.n)
-        if not geodesic_bound_check(normalized_factors(dec), dec.pair).passed:
+        if not bounds_of(dec).passed:
             failures.append(f"witness bounds fail at delta={delta}")
 
     # Same corpus as criterion 2.
@@ -218,7 +217,7 @@ def test_criterion_5_geodesic_bounds_on_produced_decompositions():
         m, n = random_pair(rng, 0.15, 0.5 * math.pi)
         u = random_su2(rng)
         dec = decompose_min(u, m, n)
-        if not geodesic_bound_check(normalized_factors(dec), dec.pair, slack=1e-9).passed:
+        if not bounds_of(dec).passed:
             failures.append(f"bounds fail on construction corpus instance {i}")
 
     # Same corpus as criterion 3.
@@ -230,7 +229,7 @@ def test_criterion_5_geodesic_bounds_on_produced_decompositions():
             m, n = random_pair(rng, 0.3, 0.5 * math.pi)
             u = random_su2(rng)
         dec = decompose_min(u, m, n)
-        if not geodesic_bound_check(normalized_factors(dec), dec.pair, slack=1e-9).passed:
+        if not bounds_of(dec).passed:
             failures.append(f"bounds fail on oracle corpus instance {i}")
     report(5, "geodesic necessary conditions", failures, started)
 

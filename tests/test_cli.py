@@ -7,7 +7,7 @@ import pytest
 
 from biaxial import Tolerances
 from biaxial.cli import main
-from _helpers import count_analyze_calls
+from _helpers import count_analyze_calls, count_replay_calls
 
 EX = [1.0, 0.0, 0.0]
 EY = [0.0, 1.0, 0.0]
@@ -158,6 +158,37 @@ class TestVerify:
                             {"instance": inst, "certificate": cert})
         assert code == 0
         assert out["ok"]
+
+    def test_non_alternating_certificate(self, tmp_path, capsys):
+        payload = self._verified_payload(tmp_path, capsys)
+        payload["certificate"]["factors"][0]["axis"] = "m"
+        code, out = run_cli(tmp_path, capsys, "verify", payload)
+        assert code == 1
+        assert not out["bounds_ok"]
+        assert not out["ok"]
+
+    def test_empty_factor_certificate(self, tmp_path, capsys):
+        inst = {"m": EZ, "n": EX, "target": {"su2": [1.0, 0.0, 0.0, 0.0]}}
+        code, cert = run_cli(tmp_path, capsys, "decompose", inst, ["--trim"])
+        assert code == 0
+        assert cert["factors"] == []
+        code, out = run_cli(tmp_path, capsys, "verify",
+                            {"instance": inst, "certificate": cert})
+        assert code == 1
+        assert out["residual_ok"]
+        assert not out["bounds_ok"]
+
+    def test_one_replay_per_item(self, tmp_path, capsys, monkeypatch):
+        items = batch(6)
+        code, certs = run_cli(tmp_path, capsys, "decompose", items)
+        assert code == 0
+        calls = count_replay_calls(monkeypatch)
+        pairs = [{"instance": inst, "certificate": cert}
+                 for inst, cert in zip(items, certs)]
+        code, out = run_cli(tmp_path, capsys, "verify", pairs)
+        assert code == 0
+        assert all(o["ok"] for o in out)
+        assert len(calls) == len(items)
 
 
 class TestWorstCase:

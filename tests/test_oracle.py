@@ -8,11 +8,10 @@ import pytest
 from biaxial import (
     AxisLabel,
     AxisPair,
-    Factor,
     IDENTITY,
     InvalidRotationError,
-    PatternError,
     PatternSpec,
+    compose,
     count_min,
     decompose_even,
     decompose_min,
@@ -20,13 +19,18 @@ from biaxial import (
     geodesic_bound_check,
     m_odd_count,
     minimality_certificate,
-    normalized_factors,
     numeric_search,
     rot,
     Su2Element,
     worst_case_witness,
 )
-from _helpers import count_analyze_calls, random_instance, random_pair, random_su2
+from _helpers import (
+    bounds_of,
+    count_analyze_calls,
+    random_instance,
+    random_pair,
+    random_su2,
+)
 
 EX = np.array([1.0, 0.0, 0.0])
 EZ = np.array([0.0, 0.0, 1.0])
@@ -40,33 +44,37 @@ def pair_with_delta(delta: float) -> AxisPair:
 class TestGeodesicBounds:
     def test_single_factor_bound_is_tight_at_zero(self):
         pair = AxisPair.from_axes(EZ, EX)
-        report = geodesic_bound_check([Factor(AxisLabel.M, 1.3)], pair)
+        report = geodesic_bound_check(rot(EZ, 1.3), pair, PatternSpec(1, AxisLabel.M))
         assert report.kbar == 1
         assert report.d_self == pytest.approx(0.0, abs=1e-12)
         assert report.passed
 
     def test_two_factor_bound(self):
         pair = AxisPair.from_axes(EZ, EX)
-        factors = [Factor(AxisLabel.N, math.pi), Factor(AxisLabel.M, -math.pi)]
-        report = geodesic_bound_check(factors, pair)
+        u = compose(rot(EX, math.pi), rot(EZ, -math.pi))
+        report = geodesic_bound_check(u, pair, PatternSpec(2, AxisLabel.M))
         assert report.d_cross <= 0.5 * math.pi + 1e-9
         assert report.passed
 
-    def test_rejects_non_alternating(self):
+    def test_target_fails_a_pattern_that_cannot_reach_it(self):
+        # A rotation about n moves m by its angle, which one m-factor cannot.
         pair = AxisPair.from_axes(EZ, EX)
-        with pytest.raises(PatternError):
-            geodesic_bound_check([Factor(AxisLabel.M, 0.3), Factor(AxisLabel.M, 0.4)], pair)
+        u = rot(pair.n, 1.0)
+        report = geodesic_bound_check(u, pair, PatternSpec(1, AxisLabel.M))
+        assert report.d_self == pytest.approx(1.0, abs=1e-12)
+        assert not report.odd_self_ok
+        assert not report.passed
+        assert geodesic_bound_check(u, pair, PatternSpec(1, AxisLabel.N)).passed
 
     def test_holds_for_all_produced_decompositions(self):
         rng = np.random.default_rng(40)
         for _ in range(100):
             m, n = random_pair(rng, 0.25, 0.5 * math.pi)
             u = random_su2(rng)
-            dec = decompose_min(u, m, n)
-            assert geodesic_bound_check(normalized_factors(dec), dec.pair).passed
+            assert bounds_of(decompose_min(u, m, n)).passed
             pair = AxisPair.from_axes(m, n)
-            assert geodesic_bound_check(decompose_odd(u, pair).factors, pair).passed
-            assert geodesic_bound_check(decompose_even(u, pair).factors, pair).passed
+            assert bounds_of(decompose_odd(u, pair)).passed
+            assert bounds_of(decompose_even(u, pair)).passed
 
 
 class TestNumericSearch:

@@ -40,7 +40,7 @@ from biaxial import (
 import biaxial.synthesis as synthesis
 from biaxial.counting import analyze
 from biaxial.synthesis import Decomposition
-from _helpers import random_axis, random_pair, random_su2
+from _helpers import count_replay_calls, random_axis, random_pair, random_su2
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -389,8 +389,24 @@ class TestVerifyDecomposition:
         dec = decompose_min(IDENTITY, EZ, EX, trim=True)
         report = verify_decomposition(dec)
         assert report.residual == 0.0
+        assert report.product == IDENTITY
         assert not report.nonempty
         assert not report.ok
+
+    def test_rejects_non_alternating(self):
+        dec = decompose_min(rot(EY, math.pi), EZ, EX)
+        repeated = Decomposition(
+            factors=(Factor(AxisLabel.M, 0.3), Factor(AxisLabel.M, 0.4)),
+            target=dec.target, axis_m=dec.axis_m, axis_n=dec.axis_n,
+            pair=dec.pair, parity=dec.parity, residual=dec.residual)
+        report = verify_decomposition(repeated)
+        assert not report.alternates
+        assert not report.ok
+
+    def test_product_is_the_replay(self):
+        dec = decompose_min(rot(EY, math.pi), -EZ, EX)
+        assert verify_decomposition(dec).product == replay_factors(
+            dec.factors, dec.axis_m, dec.axis_n)
 
 
 def fold_replay(factors, axis_m, axis_n, tol=DEFAULT_TOL):
@@ -456,6 +472,24 @@ class TestReplayKernel:
         with pytest.raises(InvalidAxisError):
             replay_factors(alternating([0.3, 0.4]), EZ, [1.0, 1.0, 0.0])
 
+    def test_caller_axes_equal_normalized_pair_bit_for_bit(self):
+        # rot(-v, t) and rot(v, -t) run the same float operations, so the
+        # caller's factors need no re-signing onto the normalized pair.
+        rng = np.random.default_rng(130)
+        flipped = 0
+        for i in range(200):
+            m, n = random_pair(rng, 0.05, 0.5 * math.pi)
+            mm = m if i % 2 else -m
+            dec = decompose_min(random_su2(rng), mm, n)
+            flipped += dec.pair.m_flipped
+            sign = -1.0 if dec.pair.m_flipped else 1.0
+            resigned = [Factor(f.label, sign * f.angle if f.label is AxisLabel.M
+                               else f.angle) for f in dec.factors]
+            caller = replay_factors(dec.factors, dec.axis_m, dec.axis_n)
+            normalized = replay_factors(resigned, dec.pair.m, dec.pair.n)
+            assert caller.components() == normalized.components()
+        assert 0 < flipped < 200
+
 
 class TestNonFiniteAxes:
     def test_decompose_min_rejects_nan_axis(self):
@@ -519,14 +553,7 @@ class TestDecomposeMinPinned:
             assert dec.parity == inner.parity
 
     def test_one_replay_per_call(self, monkeypatch):
-        calls = []
-        replay = synthesis.replay_factors
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return replay(*args, **kwargs)
-
-        monkeypatch.setattr(synthesis, "replay_factors", counting)
+        calls = count_replay_calls(monkeypatch)
         for u, m, n in pinned_cases():
             for mm in (m, -m):
                 for trim in (False, True):
@@ -538,18 +565,13 @@ class TestDecomposeMinPinned:
     def test_other_lift_costs_one_more_replay(self, monkeypatch):
         # Shifting every slab's n-angle by 2*pi negates each slab's product,
         # so a chain with an odd number of slabs first lands on -u.
-        calls = []
-        replay, solve = synthesis.replay_factors, synthesis.solve_triple
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return replay(*args, **kwargs)
+        calls = count_replay_calls(monkeypatch)
+        solve = synthesis.solve_triple
 
         def shifted(*args, **kwargs):
             trip = solve(*args, **kwargs)
             return trip._replace(theta=trip.theta + 2.0 * math.pi)
 
-        monkeypatch.setattr(synthesis, "replay_factors", counting)
         monkeypatch.setattr(synthesis, "solve_triple", shifted)
         flipped = 0
         for u, m, n in pinned_cases():
