@@ -28,6 +28,7 @@ from .counting import AxisPair, analyze, worst_case_witness
 from .errors import AxesParallelError, BiaxialError
 from .oracle import PatternSpec, geodesic_bound_check, minimality_certificate
 from .serialization import (
+    _vector3,
     certificate_to_obj,
     make_certificate,
     parse_certificate,
@@ -80,7 +81,7 @@ def _parse_t_params(text: str | None) -> list[float] | None:
 def _cmd_count(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[int, Any]:
     instance = parse_instance(item, tol)
     result = analyze(instance.target, instance.m, instance.n, tol)
-    cert = make_certificate(result.report, result.pair, instance.target)
+    cert = make_certificate(result.report, result.governing, instance.target)
     return EXIT_OK, certificate_to_obj(cert)
 
 
@@ -113,9 +114,8 @@ def _cmd_verify(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[i
                         parity=cert.parity, residual=declared)
     ver = verify_decomposition(dec, tol)
     residual_ok = ver.residual <= declared + VERIFY_SLACK
-    factors = cert.factors
     bounds_ok = (ver.nonempty and ver.alternates and geodesic_bound_check(
-        ver.product, dec.pair, PatternSpec(len(factors), factors[-1].label), tol).passed)
+        ver.product, dec.pair, PatternSpec(dec.count, dec.factors[-1].label), tol).passed)
     ok = residual_ok and bounds_ok
     out = {
         "ok": ok,
@@ -130,8 +130,8 @@ def _cmd_verify(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[i
 def _cmd_worst_case(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[int, Any]:
     if not isinstance(item, dict) or "m" not in item or "n" not in item:
         raise ValueError('worst-case input must carry "m" and "n"')
-    m = [float(v) for v in item["m"]]
-    n = [float(v) for v in item["n"]]
+    m = _vector3(item["m"], "m")
+    n = _vector3(item["n"], "n")
     witness = worst_case_witness(AxisPair.from_axes(m, n, tol), tol)
     return _decomposition_result(decompose_min(witness, m, n, tol=tol), tol)
 

@@ -312,6 +312,9 @@ def generalized_euler(u: Su2Element, frame: Frame,
 
 def geodesic(a, b, tol: Tolerances = DEFAULT_TOL) -> float:
     """Great-circle distance between unit vectors, in [0, pi]."""
-    av = unit_axis(a, tol)
-    bv = unit_axis(b, tol)
-    return math.acos(min(1.0, max(-1.0, float(av @ bv))))
+    ax, ay, az = unit_axis(a, tol).tolist()
+    bx, by, bz = unit_axis(b, tol).tolist()
+    # acos(a.b) reads about 1e-8 for coincident vectors; atan2 stays exact.
+    # Scalar math: np.cross on 3-vectors costs about ten times as much.
+    return math.atan2(math.hypot(ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx),
+                      ax * bx + ay * by + az * bz)

@@ -67,10 +67,19 @@ class Certificate:
     residual: float | None = None
 
 
+def _numbers(obj: Any, length: int, message: str) -> list[float]:
+    # The shape is checked before float() sees an element, so a scalar or a
+    # nested value is a ValueError here rather than a TypeError later.
+    if isinstance(obj, (list, tuple)) and len(obj) == length:
+        try:
+            return [float(v) for v in obj]
+        except TypeError:
+            pass
+    raise ValueError(message)
+
+
 def _vector3(obj: Any, name: str) -> list[float]:
-    if not isinstance(obj, (list, tuple)) or len(obj) != 3:
-        raise ValueError(f"{name} must be a list of 3 numbers")
-    return [float(v) for v in obj]
+    return _numbers(obj, 3, f"{name} must be a list of 3 numbers")
 
 
 def _finite(values: list[float], name: str) -> list[float]:
@@ -90,28 +99,24 @@ def _parse_target(obj: Any, tol: Tolerances) -> tuple[Su2Element, str]:
     kind = keys[0]
     value = obj[kind]
     if kind == "su2":
-        comp = _finite([float(v) for v in value], kind)
-        if len(comp) != 4:
-            raise ValueError("su2 target must be [w, x, y, z]")
+        comp = _finite(_numbers(value, 4, "su2 target must be [w, x, y, z]"), kind)
         norm = sum(c * c for c in comp)
         if abs(norm - 1.0) > 2.0 * tol.norm:
             raise ValueError(f"su2 target norm {norm:.12g} is not 1 within tolerance")
         scale = 1.0 / norm ** 0.5
         return Su2Element(*(c * scale for c in comp)), kind
     if kind == "so3":
-        entries = [float(v) for v in value]
-        if len(entries) != 9:
-            raise ValueError("so3 target must be 9 row-major numbers")
+        entries = _numbers(value, 9, "so3 target must be 9 row-major numbers")
         return from_so3(np.array(entries).reshape(3, 3), tol), kind
     if kind == "axis_angle":
         if not isinstance(value, Mapping) or "axis" not in value or "angle" not in value:
             raise ValueError('axis_angle target must be {"axis": [...], "angle": t}')
         axis = _vector3(value["axis"], "axis_angle.axis")
-        angle, = _finite([float(value["angle"])], kind)
+        angle, = _finite(_numbers([value["angle"]], 1, "axis_angle.angle must be a number"),
+                         kind)
         return rot(axis, angle, tol), kind
-    triple = _finite([float(v) for v in value], kind)
-    if len(triple) != 3:
-        raise ValueError("euler_zyz target must be [alpha, beta, gamma]")
+    triple = _finite(_numbers(value, 3, "euler_zyz target must be [alpha, beta, gamma]"),
+                     kind)
     return from_euler_zyz(*triple, tol), kind
 
 
@@ -163,17 +168,25 @@ def _report_from_obj(obj: Mapping) -> CountReport:
 
 def make_certificate(report: CountReport, pair: AxisPair, target: Su2Element,
                      decomposition: Decomposition | None = None) -> Certificate:
+    """Certificate of a count, or of a decomposition when one is given.
+
+    ``pair`` supplies the gap and the m sign flip.  ``swapped`` comes from
+    the decomposition when one is given and from ``pair`` otherwise, so a
+    count certificate is made from the analysis's governing pair.
+    """
     factors = None
     residual = None
     parity = report.chosen_parity
+    swapped = pair.swapped
     if decomposition is not None:
         factors = decomposition.factors
         residual = decomposition.residual
         parity = decomposition.parity
+        swapped = decomposition.swapped
     count = report.n_min if decomposition is None else decomposition.count
     return Certificate(count=count, parity=parity, lowenthal=report.lowenthal,
                        target_su2=target, report=report, delta=pair.delta,
-                       m_flipped=pair.m_flipped, swapped=pair.swapped,
+                       m_flipped=pair.m_flipped, swapped=swapped,
                        factors=factors, residual=residual)
 
 

@@ -107,9 +107,10 @@ class Decomposition:
     ``axis_m`` and ``axis_n`` are the vectors the factor labels refer to;
     replaying the factors left to right (last applied first) reproduces the
     target with exact quaternion sign up to ``residual``.  ``parity`` is
-    stated in the governing (normalized) axis order; when the pair was
-    swapped the caller-visible label order is reversed.  ``report`` is the
-    analysis :func:`decompose_min` ran; the per-parity constructions run none.
+    stated in the governing (normalized) axis order; ``swapped`` marks a
+    governing order that exchanged m and n, so the caller-visible label
+    order is reversed.  ``report`` is the analysis :func:`decompose_min`
+    ran; the per-parity constructions run none and are never swapped.
     """
 
     factors: tuple[Factor, ...]
@@ -122,6 +123,7 @@ class Decomposition:
     plan: SynthesisPlan | None = None
     beta_prime: float | None = None
     report: CountReport | None = None
+    swapped: bool = False
 
     @property
     def count(self) -> int:
@@ -373,7 +375,8 @@ def _finish(chain: _Chain, u: Su2Element, pair: AxisPair, parity: str,
     return Decomposition(factors=factors, target=u, axis_m=axis_m,
                          axis_n=axis_n, pair=pair, parity=parity,
                          residual=residual, plan=chain.plan,
-                         beta_prime=chain.beta_prime, report=report)
+                         beta_prime=chain.beta_prime, report=report,
+                         swapped=swapped)
 
 
 def replay_factors(factors: Sequence[Factor], axis_m, axis_n,

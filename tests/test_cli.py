@@ -3,10 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from biaxial import Tolerances
+from biaxial import Su2Element, Tolerances
 from biaxial.cli import main
+from biaxial.counting import analyze
 from _helpers import count_analyze_calls, count_replay_calls
 
 EX = [1.0, 0.0, 0.0]
@@ -178,6 +180,20 @@ class TestVerify:
         assert out["residual_ok"]
         assert not out["bounds_ok"]
 
+    def test_one_factor_certificate_about_a_non_canonical_axis(self, tmp_path, capsys):
+        m = [0.4717, -0.8012, 0.3681]
+        norm = math.sqrt(sum(v * v for v in m))
+        m = [v / norm for v in m]
+        inst = {"m": m, "n": EX,
+                "target": {"axis_angle": {"axis": m, "angle": 1.1}}}
+        code, cert = run_cli(tmp_path, capsys, "decompose", inst)
+        assert code == 0
+        assert len(cert["factors"]) == 1
+        code, out = run_cli(tmp_path, capsys, "verify",
+                            {"instance": inst, "certificate": cert})
+        assert code == 0
+        assert out["bounds_ok"]
+
     def test_one_replay_per_item(self, tmp_path, capsys, monkeypatch):
         items = batch(6)
         code, certs = run_cli(tmp_path, capsys, "decompose", items)
@@ -223,6 +239,53 @@ class TestOneAnalysis:
         assert code == 0
         assert all(o["count"] == o["lowenthal"] for o in out)
         assert len(calls) == len(items)
+
+
+class TestOrientation:
+    """A certificate's ``swapped`` is the governing swap of its analysis."""
+
+    @pytest.mark.parametrize("command", ["count", "decompose"])
+    def test_swapped_is_the_governing_swap(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(5)
+        delta = 0.7
+        n = [math.sin(delta), 0.0, math.cos(delta)]
+        items = []
+        for i in range(40):
+            q = rng.normal(size=4)
+            m = EZ if i % 2 else [0.0, 0.0, -1.0]
+            items.append({"m": m, "n": n,
+                          "target": {"su2": [float(v) for v in q / np.linalg.norm(q)]}})
+        code, out = run_cli(tmp_path, capsys, command, items)
+        assert code == 0
+        want = [analyze(Su2Element(*o["target_su2"]), it["m"], n).governing.swapped
+                for it, o in zip(items, out)]
+        assert [o["swapped"] for o in out] == want
+        assert any(want) and not all(want)
+
+
+class TestMalformedShapes:
+    """A JSON value of the wrong shape exits 2 with a message, not a traceback."""
+
+    @pytest.mark.parametrize("target", [
+        {"su2": 5}, {"so3": 5}, {"axis_angle": 5}, {"euler_zyz": 5}])
+    def test_scalar_target_value(self, tmp_path, capsys, target):
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps({"m": EZ, "n": EX, "target": target}))
+        code = main(["count", "--input", str(inp)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "target must be" in captured.err
+
+    @pytest.mark.parametrize("axes", [{"m": 5, "n": EX}, {"m": EZ, "n": 5}])
+    def test_scalar_worst_case_axis(self, tmp_path, capsys, axes):
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps(axes))
+        code = main(["worst-case", "--input", str(inp)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "must be a list of 3 numbers" in captured.err
 
 
 class TestNonFiniteTarget:

@@ -307,6 +307,13 @@ class TestGeodesic:
     def test_coincident(self):
         assert geodesic(EZ, EZ) == 0.0
 
+    def test_coincident_random_axes(self):
+        # acos(v.v) reads about 1.5e-8 wherever v.v rounds below 1.
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            v = random_axis(rng)
+            assert geodesic(v, v) == 0.0
+
     def test_orthogonal(self):
         assert geodesic(EZ, EX) == pytest.approx(0.5 * math.pi, abs=1e-15)
 

@@ -56,6 +56,12 @@ class TestParseInstance:
         {"euler_zyz": [0.0]},
         {"nope": []},
         {"su2": [1.0, 0.0, 0.0, 0.0], "so3": [0.0] * 9},
+        {"su2": 5},
+        {"so3": 5},
+        {"euler_zyz": 5},
+        {"su2": [[1.0], 0.0, 0.0, 0.0]},
+        {"axis_angle": {"axis": EY, "angle": [1.0]}},
+        {"axis_angle": {"axis": 5, "angle": 1.0}},
     ])
     def test_rejects_malformed_targets(self, bad):
         with pytest.raises(ValueError):
