@@ -60,10 +60,6 @@ class Su2Element:
     def components(self) -> tuple[float, float, float, float]:
         return (self.w, self.x, self.y, self.z)
 
-    def vector(self) -> np.ndarray:
-        """The (x, y, z) part, i.e. ``-sin(theta/2)`` times the rotation axis."""
-        return np.array([self.x, self.y, self.z])
-
     def norm_error(self) -> float:
         return abs(self.w * self.w + self.x * self.x + self.y * self.y
                    + self.z * self.z - 1.0)
@@ -257,8 +253,9 @@ def from_euler_zyz(alpha: float, beta: float, gamma: float,
                    tol: Tolerances = DEFAULT_TOL) -> Su2Element:
     """The product rot(z, alpha) * rot(y, beta) * rot(z, gamma).
 
-    The inverse of :func:`euler_zyz`: ``from_euler_zyz(*euler_zyz(u))``
-    reproduces ``u`` with its quaternion sign.
+    Reads the ``euler_zyz`` target encoding.  It inverts :func:`euler_zyz`:
+    ``from_euler_zyz(*euler_zyz(u))`` reproduces ``u`` with its quaternion
+    sign.
     """
     return compose(rot(_EZ, alpha, tol),
                    compose(rot(_EY, beta, tol), rot(_EZ, gamma, tol), tol), tol)
@@ -266,48 +263,46 @@ def from_euler_zyz(alpha: float, beta: float, gamma: float,
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """Orthogonal axis pair (l, m) together with a quaternion ``u`` that
-    rotates the coordinate axes onto it: ``to_so3(u) @ e_y = l`` and
-    ``to_so3(u) @ e_z = m``."""
+    """Orthogonal unit axes (l, m) of a generalized Euler factorization."""
 
     l: np.ndarray
     m: np.ndarray
-    u: Su2Element
 
 
 def frame_for(l, m, tol: Tolerances = DEFAULT_TOL) -> Frame:
-    """Construct a frame element for orthogonal unit vectors ``l`` and ``m``.
+    """Admit unit vectors ``l`` and ``m``, orthogonal within ``tol.orth``.
 
-    ``m`` fixes the polar and azimuthal angles (spherical coordinates) and
-    ``l`` fixes the remaining roll angle.
+    The frame keeps ``m`` and the part of ``l`` orthogonal to it, so that a
+    rotation about ``m`` reads a middle angle of rounding size.  An axis
+    pair's normal at gap ``delta`` is off orthogonal by about 1e-16/delta,
+    which would otherwise add that much to the middle angle.
     """
     lv = unit_axis(l, tol)
     mv = unit_axis(m, tol)
-    if abs(float(lv @ mv)) > tol.orth:
+    dot = float(lv @ mv)
+    if abs(dot) > tol.orth:
         raise InvalidFrameError("frame axes are not orthogonal within tolerance")
-    beta_t = math.acos(min(1.0, max(-1.0, float(mv[2]))))
-    alpha_t = math.atan2(mv[1], mv[0]) if math.hypot(mv[0], mv[1]) > 0.0 else 0.0
-    # Undo the first two rotations on l; the image must be (-sin g, cos g, 0).
-    ca, sa = math.cos(alpha_t), math.sin(alpha_t)
-    cb, sb = math.cos(beta_t), math.sin(beta_t)
-    lx = ca * lv[0] + sa * lv[1]
-    ly = -sa * lv[0] + ca * lv[1]
-    lz = lv[2]
-    l1 = np.array([cb * lx - sb * lz, ly, sb * lx + cb * lz])
-    gamma_t = math.atan2(0.0 - l1[0], l1[1])
-    # Default tolerances: the frame element must not depend on the caller's.
-    return Frame(l=lv, m=mv, u=from_euler_zyz(alpha_t, beta_t, gamma_t))
+    lv = lv - dot * mv
+    return Frame(l=lv / math.sqrt(float(lv @ lv)), m=mv)
 
 
 def generalized_euler(u: Su2Element, frame: Frame,
                       tol: Tolerances = DEFAULT_TOL) -> EulerTriple:
     """Factor ``u`` as rot(m, alpha) * rot(l, beta) * rot(m, gamma).
 
-    Conjugating by the frame element reduces the problem to the z-y-z case;
-    the triple does not depend on which of the two frame lifts was built.
+    The rotation carrying (e_x, e_y, e_z) onto (l x m, l, m) maps the z-y-z
+    factors onto the (m, l, m) ones.  Conjugating ``u`` by it only
+    re-expresses the vector part of ``u`` in that basis, so the z-y-z
+    factorization of ``(w, v.(l x m), v.l, v.m)`` is the triple.
     """
-    conj = compose(inverse(frame.u), compose(u, frame.u))
-    return euler_zyz(conj, tol)
+    lx, ly, lz = frame.l.tolist()
+    mx, my, mz = frame.m.tolist()
+    x, y, z = u.x, u.y, u.z
+    return euler_zyz(Su2Element(
+        u.w,
+        x * (ly * mz - lz * my) + y * (lz * mx - lx * mz) + z * (lx * my - ly * mx),
+        x * lx + y * ly + z * lz,
+        x * mx + y * my + z * mz), tol)
 
 
 def geodesic(a, b, tol: Tolerances = DEFAULT_TOL) -> float:

@@ -176,7 +176,6 @@ class Analysis:
 
     pair: AxisPair  # caller-oriented pair (sign-normalized, not swapped)
     governing: AxisPair  # pair actually used for the Euler triple
-    frame: Frame
     triple: EulerTriple
     report: CountReport
 
@@ -192,8 +191,7 @@ def analyze(u: Su2Element, m_raw, n_raw, tol: Tolerances = DEFAULT_TOL) -> Analy
     # caller's order for determinism.
     if overlap_b(pair.m, u, tol) < overlap_b(pair.n, u, tol):
         governing = pair.swap()
-    frame = governing.frame(tol)
-    triple = generalized_euler(u, frame, tol)
+    triple = generalized_euler(u, governing.frame(tol), tol)
     alpha, beta, gamma = triple
     delta = governing.delta
     m_odd = m_odd_count(beta, delta, tol)
@@ -216,8 +214,7 @@ def analyze(u: Su2Element, m_raw, n_raw, tol: Tolerances = DEFAULT_TOL) -> Analy
         lowenthal=_lowenthal_from_delta(delta, tol),
         chosen_parity=parity,
     )
-    return Analysis(pair=pair, governing=governing, frame=frame,
-                    triple=triple, report=report)
+    return Analysis(pair=pair, governing=governing, triple=triple, report=report)
 
 
 def count_min(u: Su2Element, m_raw, n_raw, tol: Tolerances = DEFAULT_TOL) -> CountReport:

@@ -30,7 +30,6 @@ from .config import DEFAULT_TOL, Tolerances
 from .counting import AxisPair, CountReport, analyze, ceil_snapped
 from .core import (
     IDENTITY,
-    Frame,
     Su2Element,
     compose,
     generalized_euler,
@@ -281,12 +280,11 @@ def _solve_slabs(plan: SynthesisPlan, delta: float,
     return trips
 
 
-def _odd_chain(u: Su2Element, pair: AxisPair, frame: Frame,
-               t_params: Sequence[float] | None, branch: Branch | None,
-               tol: Tolerances) -> _Chain:
+def _odd_chain(u: Su2Element, pair: AxisPair, t_params: Sequence[float] | None,
+               branch: Branch | None, tol: Tolerances) -> _Chain:
     """Raw angles of the odd construction m, n, m, ..., m."""
     delta = pair.delta
-    alpha, beta, gamma = generalized_euler(u, frame, tol)
+    alpha, beta, gamma = generalized_euler(u, pair.frame(tol), tol)
     plan = _with_overrides(plan_odd(beta, delta, tol), t_params, branch)
     if not plan.slabs:
         return _Chain(AxisLabel.M, [alpha + gamma], plan, None)
@@ -300,13 +298,12 @@ def _odd_chain(u: Su2Element, pair: AxisPair, frame: Frame,
     return _Chain(AxisLabel.M, angles, plan, None)
 
 
-def _even_chain(u: Su2Element, pair: AxisPair, frame: Frame,
-                t_params: Sequence[float] | None, branch: Branch | None,
-                tol: Tolerances) -> _Chain:
+def _even_chain(u: Su2Element, pair: AxisPair, t_params: Sequence[float] | None,
+                branch: Branch | None, tol: Tolerances) -> _Chain:
     """Raw angles of the even construction n, m, ..., n, m."""
     delta = pair.delta
     shifted = compose(rot(pair.l, -delta, tol), u, tol)
-    ap, bp, gp = generalized_euler(shifted, frame, tol)
+    ap, bp, gp = generalized_euler(shifted, pair.frame(tol), tol)
     plan, merged = _plan_even(bp, delta, tol)
     plan = _with_overrides(plan, t_params, branch)
     if merged:
@@ -427,7 +424,7 @@ def decompose_odd(u: Su2Element, pair: AxisPair,
     Length is ``2*ceil(beta/(2*delta)) + 1``; a vanishing middle angle gives
     the single bare m-rotation.
     """
-    chain = _odd_chain(u, pair, pair.frame(tol), t_params, branch, tol)
+    chain = _odd_chain(u, pair, t_params, branch, tol)
     return _finish(chain, u, pair, "odd", pair.m, pair.n, tol)
 
 
@@ -444,7 +441,7 @@ def decompose_even(u: Su2Element, pair: AxisPair,
     free parameter is pinned to pi/2 (the merge needs it); ``t_params``
     overrides apply to the remaining slabs.
     """
-    chain = _even_chain(u, pair, pair.frame(tol), t_params, branch, tol)
+    chain = _even_chain(u, pair, t_params, branch, tol)
     return _finish(chain, u, pair, "even-mn", pair.m, pair.n, tol)
 
 
@@ -458,7 +455,7 @@ def decompose_even_reversed(u: Su2Element, pair: AxisPair,
     angle; the factor count becomes the even minimum for the opposite axis
     order.
     """
-    chain = _even_chain(inverse(u), pair, pair.frame(tol), t_params, branch, tol)
+    chain = _even_chain(inverse(u), pair, t_params, branch, tol)
     return _finish(chain, u, pair, "even-nm", pair.m, pair.n, tol, reverse=True)
 
 
@@ -481,7 +478,7 @@ def decompose_min(u: Su2Element, m_raw, n_raw,
     governing = analysis.governing
     build = _odd_chain if parity == "odd" else _even_chain
     source = inverse(u) if parity == "even-nm" else u
-    chain = build(source, governing, analysis.frame, t_params, branch, tol)
+    chain = build(source, governing, t_params, branch, tol)
     return _finish(chain, u, analysis.pair, parity,
                    np.asarray(m_raw, dtype=float), np.asarray(n_raw, dtype=float),
                    tol, reverse=parity == "even-nm", swapped=governing.swapped,

@@ -237,36 +237,24 @@ class TestEulerZyz:
 
 
 class TestFrame:
-    def test_canonical_frame_is_identity(self):
-        frame = frame_for(EY, EZ)
-        assert quat_distance(frame.u, IDENTITY) < 1e-15
-
-    def test_z_x_frame_columns(self):
+    def test_keeps_the_admitted_axes(self):
         frame = frame_for(EZ, EX)
-        mat = to_so3(frame.u)
-        assert np.allclose(mat @ EY, EZ, atol=1e-12)
-        assert np.allclose(mat @ EZ, EX, atol=1e-12)
-
-    def test_flipped_l(self):
-        frame = frame_for(-EY, EZ)
-        mat = to_so3(frame.u)
-        assert np.allclose(mat @ EY, -EY, atol=1e-12)
-        assert np.allclose(mat @ EZ, EZ, atol=1e-12)
-
-    def test_random_frames(self):
-        rng = np.random.default_rng(8)
-        for _ in range(200):
-            m = random_axis(rng)
-            helper = random_axis(rng)
-            l = np.cross(m, helper)
-            l /= np.linalg.norm(l)
-            mat = to_so3(frame_for(l, m).u)
-            assert np.allclose(mat @ EY, l, atol=1e-12)
-            assert np.allclose(mat @ EZ, m, atol=1e-12)
+        assert frame.l.tolist() == EZ.tolist()
+        assert frame.m.tolist() == EX.tolist()
 
     def test_rejects_non_orthogonal(self):
         with pytest.raises(InvalidFrameError):
             frame_for(EZ, EZ)
+
+    def test_rejects_non_unit_axis(self):
+        with pytest.raises(InvalidAxisError):
+            frame_for(2.0 * EZ, EX)
+
+
+def random_frame(rng):
+    m = random_axis(rng)
+    l = np.cross(m, random_axis(rng))
+    return l / np.linalg.norm(l), m
 
 
 class TestGeneralizedEuler:
@@ -284,23 +272,30 @@ class TestGeneralizedEuler:
 
     def test_reconstruction_of_known_triple(self):
         rng = np.random.default_rng(9)
-        m = random_axis(rng)
-        helper = random_axis(rng)
-        l = np.cross(m, helper)
-        l /= np.linalg.norm(l)
-        frame = frame_for(l, m)
-        u = compose(rot(m, 0.3), compose(rot(l, 1.1), rot(m, -0.7)))
-        alpha, beta, gamma = generalized_euler(u, frame)
-        assert (alpha, beta, gamma) == pytest.approx((0.3, 1.1, -0.7), abs=1e-12)
-        rebuilt = compose(rot(m, alpha), compose(rot(l, beta), rot(m, gamma)))
-        assert quat_distance(rebuilt, u) < 1e-13
+        for _ in range(200):
+            l, m = random_frame(rng)
+            frame = frame_for(l, m)
+            known = compose(rot(m, 0.3), compose(rot(l, 1.1), rot(m, -0.7)))
+            assert generalized_euler(known, frame) == pytest.approx((0.3, 1.1, -0.7),
+                                                                    abs=1e-12)
+            a, c = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=2)
+            # Haar targets, then middle angles 0 and pi, each in both lifts.
+            targets = [random_su2(rng), random_su2(rng), known, rot(m, a),
+                       compose(rot(m, a), compose(rot(l, math.pi), rot(m, c)))]
+            targets += [negate(u) for u in targets]
+            for u in targets:
+                alpha, beta, gamma = generalized_euler(u, frame)
+                rebuilt = compose(rot(m, alpha), compose(rot(l, beta), rot(m, gamma)))
+                assert quat_distance(rebuilt, u) < 1e-13
 
     def test_coincides_with_zyz_for_coordinate_frame(self):
         rng = np.random.default_rng(10)
         frame = frame_for(EY, EZ)
-        for _ in range(100):
-            u = random_su2(rng)
-            assert generalized_euler(u, frame) == pytest.approx(euler_zyz(u), abs=1e-12)
+        targets = [random_su2(rng) for _ in range(100)]
+        targets += [IDENTITY, negate(IDENTITY), rot(EZ, 0.7), rot(EY, math.pi),
+                    compose(rot(EX, math.pi), rot(EZ, 0.3))]
+        for u in targets:
+            assert generalized_euler(u, frame) == euler_zyz(u)
 
 
 class TestGeodesic:

@@ -187,6 +187,17 @@ class TestCountMin:
             assert report.m_odd == 1
             assert report.chosen_parity == "odd"
 
+    def test_bare_m_rotation_is_one_factor_at_small_gaps(self):
+        # The pair's normal is off orthogonal to m by about 1e-16/delta; the
+        # Euler frame must not read that as a middle angle.
+        rng = np.random.default_rng(31)
+        for delta in (1e-2, 1e-3, 1e-4):
+            for _ in range(50):
+                m, n = random_pair(rng, delta, delta)
+                theta = rng.uniform(-2.0 * math.pi, 2.0 * math.pi)
+                for sign in (1.0, -1.0):
+                    assert count_min(rot(sign * m, theta), sign * m, n).n_min == 1
+
     def test_worked_two_factor(self):
         report = count_min(rot(EY, math.pi), EZ, EX)
         assert report.n_min == 2
