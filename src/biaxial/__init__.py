@@ -30,8 +30,6 @@ from .core import (
 from .counting import (
     AxisPair,
     CountReport,
-    beta_prime_of,
-    ceil_snapped,
     count_min,
     f_angle,
     g_count,
@@ -65,12 +63,7 @@ from .synthesis import (
     Factor,
     SynthesisPlan,
     VerificationReport,
-    decompose_even,
-    decompose_even_reversed,
     decompose_min,
-    decompose_odd,
-    h_param,
-    plan_odd,
     replay_factors,
     solve_triple,
     verify_decomposition,

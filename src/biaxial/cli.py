@@ -10,7 +10,9 @@ or stdin and write JSON to a file or stdout::
     biaxial oracle     --input inst.json [--starts N] [--seed N]
 
 Exit codes: 0 success, 1 verification or certificate failure, 2 parse or
-validation error, 3 parallel axes, 4 reconstruction residual breach.  The
+validation error, 3 parallel axes, 4 reconstruction residual breach.  A
+batch exits with the largest code of its items; an item that fails with 2
+or 3 keeps its slot as ``{"error": message, "exit": code}``.  The
 environment variable ``BIAXIAL_TOL`` overrides every default tolerance; the
 ``--tol`` flag overrides both, and the environment is then not read.  A
 tolerance that is not a finite number >= 0 exits with code 2.
@@ -25,7 +27,7 @@ from typing import Any
 
 from .config import Tolerances
 from .counting import AxisPair, analyze, worst_case_witness
-from .errors import AxesParallelError, BiaxialError
+from .errors import AxesParallelError
 from .oracle import PatternSpec, geodesic_bound_check, minimality_certificate
 from .serialization import (
     _vector3,
@@ -116,13 +118,19 @@ def _cmd_verify(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[i
     residual_ok = ver.residual <= declared + VERIFY_SLACK
     bounds_ok = (ver.nonempty and ver.alternates and geodesic_bound_check(
         ver.product, dec.pair, PatternSpec(dec.count, dec.factors[-1].label), tol).passed)
-    ok = residual_ok and bounds_ok
+    # The certificate's own claims, read against its factor list and report
+    # without recomputing any count (trimming only shortens a chain).
+    claims_ok = (cert.count == dec.count <= cert.report.n_min
+                 and cert.parity == cert.report.chosen_parity
+                 and cert.lowenthal == cert.report.lowenthal)
+    ok = residual_ok and bounds_ok and claims_ok
     out = {
         "ok": ok,
         "residual": ver.residual,
         "declared_residual": declared,
         "residual_ok": residual_ok,
         "bounds_ok": bounds_ok,
+        "claims_ok": claims_ok,
     }
     return (EXIT_OK if ok else EXIT_FAIL), out
 
@@ -207,12 +215,13 @@ def main(argv: list[str] | None = None) -> int:
     for item in items:
         try:
             item_code, out = handler(item, args, tol)
-        except AxesParallelError as exc:
+        except ValueError as exc:
+            # Library errors are ValueErrors; only parallel axes get their own code.
+            item_code = EXIT_PARALLEL if isinstance(exc, AxesParallelError) else EXIT_PARSE
             print(f"biaxial: {exc}", file=sys.stderr)
-            return EXIT_PARALLEL
-        except (BiaxialError, ValueError) as exc:
-            print(f"biaxial: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+            if not batch:
+                return item_code
+            out = {"error": str(exc), "exit": item_code}
         outputs.append(out)
         code = max(code, item_code)
     _write_json(args.output, outputs if batch else outputs[0])

@@ -16,7 +16,6 @@ from biaxial import (
     PatternSpec,
     compose,
     count_min,
-    decompose_even,
     decompose_min,
     f_angle,
     g_count,
@@ -31,6 +30,7 @@ from biaxial import (
     to_so3,
     worst_case_witness,
 )
+from biaxial.synthesis import decompose_even
 from _helpers import (
     boundary_margin,
     bounds_of,

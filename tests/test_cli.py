@@ -207,6 +207,81 @@ class TestVerify:
         assert len(calls) == len(items)
 
 
+class TestVerifyClaims:
+    """``verify`` reads a certificate's count, parity and report against its
+    factor list, without recomputing any count."""
+
+    def _pair(self, tmp_path, capsys, inst, extra=None):
+        code, cert = run_cli(tmp_path, capsys, "decompose", inst, extra)
+        assert code == 0
+        return {"instance": inst, "certificate": cert}
+
+    def test_edited_worked_certificate_fails(self, tmp_path, capsys):
+        payload = self._pair(tmp_path, capsys, WORKED)
+        cert = payload["certificate"]
+        cert.update(count=7, parity="odd", swapped=True)
+        cert["report"]["n_min"] = 1
+        code, out = run_cli(tmp_path, capsys, "verify", payload)
+        assert code == 1
+        assert out["residual_ok"] and out["bounds_ok"]
+        assert not out["claims_ok"]
+        assert not out["ok"]
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.update(count=7),
+        lambda c: c.update(parity="odd"),
+        lambda c: c["report"].update(n_min=1),
+    ], ids=["count", "parity", "n_min"])
+    def test_single_edit_fails(self, tmp_path, capsys, edit):
+        payload = self._pair(tmp_path, capsys, WORKED)
+        edit(payload["certificate"])
+        code, out = run_cli(tmp_path, capsys, "verify", payload)
+        assert code == 1
+        assert not out["claims_ok"]
+
+    @pytest.mark.parametrize("extra", [None, ["--trim", "--branch", "minus"]])
+    def test_decompose_certificates_pass(self, tmp_path, capsys, extra):
+        pairs = [self._pair(tmp_path, capsys, inst, extra) for inst in batch(6)]
+        code, out = run_cli(tmp_path, capsys, "verify", pairs)
+        assert code == 0
+        assert all(o["claims_ok"] and o["ok"] for o in out)
+
+    def test_worst_case_certificates_pass(self, tmp_path, capsys):
+        pairs = []
+        for delta in (0.5 * math.pi, math.pi / 3, 0.25 * math.pi, 0.3):
+            n = [math.sin(delta), 0.0, math.cos(delta)]
+            code, cert = run_cli(tmp_path, capsys, "worst-case", {"m": EZ, "n": n})
+            assert code == 0
+            inst = {"m": EZ, "n": n, "target": {"su2": cert["target_su2"]}}
+            pairs.append({"instance": inst, "certificate": cert})
+        code, out = run_cli(tmp_path, capsys, "verify", pairs)
+        assert code == 0
+        assert all(o["claims_ok"] and o["ok"] for o in out)
+
+
+class TestBatchErrors:
+    """A failing batch item keeps its slot as an error record."""
+
+    PARALLEL = {"m": EZ, "n": EZ, "target": {"su2": [1.0, 0.0, 0.0, 0.0]}}
+
+    def test_good_item_survives_parallel_item(self, tmp_path, capsys):
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps([WORKED, self.PARALLEL]))
+        code = main(["count", "--input", str(inp)])
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert code == 3
+        assert out[0]["count"] == 2
+        assert out[1]["exit"] == 3
+        assert out[1]["error"] in captured.err
+
+    def test_parse_error_and_parallel_pair(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, capsys, "count", [{"m": EZ}, self.PARALLEL])
+        assert code == 3
+        assert [o["exit"] for o in out] == [2, 3]
+        assert all(o["error"] for o in out)
+
+
 class TestWorstCase:
     @pytest.mark.parametrize("delta,count", [
         (0.5 * math.pi, 3),

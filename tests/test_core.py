@@ -237,7 +237,7 @@ class TestEulerZyz:
 
 
 class TestFrame:
-    def test_keeps_the_admitted_axes(self):
+    def test_keeps_orthogonal_axes(self):
         frame = frame_for(EZ, EX)
         assert frame.l.tolist() == EZ.tolist()
         assert frame.m.tolist() == EX.tolist()

@@ -11,8 +11,6 @@ from biaxial import (
     IDENTITY,
     InvalidRotationError,
     Su2Element,
-    beta_prime_of,
-    ceil_snapped,
     compose,
     count_min,
     f_angle,
@@ -25,6 +23,7 @@ from biaxial import (
     solve_triple,
     worst_case_witness,
 )
+from biaxial.counting import beta_prime_of, ceil_snapped
 from biaxial.synthesis import Branch
 from _helpers import random_axis, random_pair, random_su2
 

@@ -13,9 +13,7 @@ from biaxial import (
     PatternSpec,
     compose,
     count_min,
-    decompose_even,
     decompose_min,
-    decompose_odd,
     geodesic_bound_check,
     m_odd_count,
     minimality_certificate,
@@ -24,6 +22,7 @@ from biaxial import (
     Su2Element,
     worst_case_witness,
 )
+from biaxial.synthesis import decompose_even, decompose_odd
 from _helpers import (
     bounds_of,
     count_analyze_calls,

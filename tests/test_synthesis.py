@@ -18,17 +18,12 @@ from biaxial import (
     InvalidSlabError,
     compose,
     count_min,
-    decompose_even,
-    decompose_even_reversed,
     decompose_min,
-    decompose_odd,
     f_angle,
     g_count,
     generalized_euler,
-    h_param,
     inverse,
     normalize_angle,
-    plan_odd,
     quat_distance,
     replay_factors,
     rot,
@@ -37,9 +32,16 @@ from biaxial import (
     to_so3,
     verify_decomposition,
 )
+from biaxial.synthesis import (
+    Decomposition,
+    decompose_even,
+    decompose_even_reversed,
+    decompose_odd,
+    h_param,
+    plan_odd,
+)
 import biaxial.synthesis as synthesis
 from biaxial.counting import analyze
-from biaxial.synthesis import Decomposition
 from _helpers import count_replay_calls, random_axis, random_pair, random_su2
 
 EX = np.array([1.0, 0.0, 0.0])
