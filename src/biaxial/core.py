@@ -292,8 +292,9 @@ def generalized_euler(u: Su2Element, frame: Frame,
 
     The rotation carrying (e_x, e_y, e_z) onto (l x m, l, m) maps the z-y-z
     factors onto the (m, l, m) ones.  Conjugating ``u`` by it only
-    re-expresses the vector part of ``u`` in that basis, so the z-y-z
-    factorization of ``(w, v.(l x m), v.l, v.m)`` is the triple.
+    re-expresses the vector part ``v = (x, y, z)`` of ``u`` in that basis,
+    so the z-y-z factorization of ``(w, v.(l x m), v.l, v.m)`` is the
+    triple.
     """
     lx, ly, lz = frame.l.tolist()
     mx, my, mz = frame.m.tolist()
