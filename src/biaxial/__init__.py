@@ -11,11 +11,9 @@ from .config import DEFAULT_TOL, Tolerances
 from .core import (
     IDENTITY,
     EulerTriple,
-    Frame,
     Su2Element,
     compose,
     euler_zyz,
-    frame_for,
     from_so3,
     generalized_euler,
     geodesic,
@@ -43,7 +41,6 @@ from .errors import (
     BiaxialError,
     InfeasibleSlabError,
     InvalidAxisError,
-    InvalidFrameError,
     InvalidRotationError,
     InvalidSlabError,
 )

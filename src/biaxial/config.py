@@ -15,7 +15,6 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     norm: float = 1e-9  # unit-norm admission for axes and quaternions
-    orth: float = 1e-9  # orthogonality admission for frame axes
     angle: float = 1e-9  # degenerate-angle branch thresholds
     parallel: float = 1e-9  # |m.n| < 1 - parallel admission for axis pairs
     ceil: float = 1e-9  # snap window around integers in ceiling counts
@@ -31,8 +30,8 @@ class Tolerances:
         value = float(value)
         if not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"tolerance must be finite and >= 0, got {value!r}")
-        return cls(norm=value, orth=value, angle=value, parallel=value,
-                   ceil=value, recon=value)
+        return cls(norm=value, angle=value, parallel=value, ceil=value,
+                   recon=value)
 
     @classmethod
     def from_env(cls, env_var: str = "BIAXIAL_TOL") -> "Tolerances":

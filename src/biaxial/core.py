@@ -16,17 +16,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import InvalidAxisError, InvalidFrameError, InvalidRotationError
+from .errors import InvalidAxisError, InvalidRotationError
+
+if TYPE_CHECKING:
+    from .counting import AxisPair
 
 __all__ = [
     "Su2Element",
     "EulerTriple",
-    "Frame",
     "IDENTITY",
     "rot",
     "compose",
@@ -36,7 +38,6 @@ __all__ = [
     "from_so3",
     "euler_zyz",
     "from_euler_zyz",
-    "frame_for",
     "generalized_euler",
     "geodesic",
     "quat_distance",
@@ -261,43 +262,19 @@ def from_euler_zyz(alpha: float, beta: float, gamma: float,
                    compose(rot(_EY, beta, tol), rot(_EZ, gamma, tol), tol), tol)
 
 
-@dataclass(frozen=True, eq=False)
-class Frame:
-    """Orthogonal unit axes (l, m) of a generalized Euler factorization."""
-
-    l: np.ndarray
-    m: np.ndarray
-
-
-def frame_for(l, m, tol: Tolerances = DEFAULT_TOL) -> Frame:
-    """Admit unit vectors ``l`` and ``m``, orthogonal within ``tol.orth``.
-
-    The frame keeps ``m`` and the part of ``l`` orthogonal to it, so that a
-    rotation about ``m`` reads a middle angle of rounding size.  An axis
-    pair's normal at gap ``delta`` is off orthogonal by about 1e-16/delta,
-    which would otherwise add that much to the middle angle.
-    """
-    lv = unit_axis(l, tol)
-    mv = unit_axis(m, tol)
-    dot = float(lv @ mv)
-    if abs(dot) > tol.orth:
-        raise InvalidFrameError("frame axes are not orthogonal within tolerance")
-    lv = lv - dot * mv
-    return Frame(l=lv / math.sqrt(float(lv @ lv)), m=mv)
-
-
-def generalized_euler(u: Su2Element, frame: Frame,
+def generalized_euler(u: Su2Element, pair: AxisPair,
                       tol: Tolerances = DEFAULT_TOL) -> EulerTriple:
     """Factor ``u`` as rot(m, alpha) * rot(l, beta) * rot(m, gamma).
 
+    ``l`` and ``m`` are the orthonormal frame an :class:`AxisPair` carries.
     The rotation carrying (e_x, e_y, e_z) onto (l x m, l, m) maps the z-y-z
     factors onto the (m, l, m) ones.  Conjugating ``u`` by it only
     re-expresses the vector part ``v = (x, y, z)`` of ``u`` in that basis,
     so the z-y-z factorization of ``(w, v.(l x m), v.l, v.m)`` is the
     triple.
     """
-    lx, ly, lz = frame.l.tolist()
-    mx, my, mz = frame.m.tolist()
+    lx, ly, lz = pair.l.tolist()
+    mx, my, mz = pair.m.tolist()
     x, y, z = u.x, u.y, u.z
     return euler_zyz(Su2Element(
         u.w,

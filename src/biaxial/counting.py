@@ -23,10 +23,8 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .core import (
     EulerTriple,
-    Frame,
     Su2Element,
     compose,
-    frame_for,
     generalized_euler,
     rot,
     unit_axis,
@@ -112,12 +110,15 @@ def m_odd_count(beta: float, delta: float, tol: Tolerances = DEFAULT_TOL) -> int
 
 @dataclass(frozen=True, eq=False)
 class AxisPair:
-    """Normalized two-axis context.
+    """Normalized two-axis context and its Euler frame.
 
     ``m`` is sign-flipped if needed so that ``m . n >= 0``, putting the gap
-    ``delta = atan2(|m x n|, m . n)`` in ``(0, pi/2]``, and ``l`` is the unit
-    normal ``m x n / |m x n|``.  ``swapped`` marks pairs produced by
-    exchanging the roles of m and n (which also flips l).
+    ``delta = atan2(|m x n|, m . n)`` in ``(0, pi/2]``.  ``l`` is the unit
+    normal ``m x n / |m x n|``, projected orthogonal to ``m`` and normalized
+    again, so that ``(l, m)`` is orthonormal to rounding for every gap: the
+    cross product alone is off orthogonal by about 1e-16/delta, which would
+    add that much to a middle angle read in the frame.  ``swapped`` marks
+    pairs produced by exchanging the roles of m and n (which also flips l).
     """
 
     m: np.ndarray
@@ -144,16 +145,20 @@ class AxisPair:
         cross = np.cross(m, n)
         sin_delta = float(np.linalg.norm(cross))
         delta = math.atan2(sin_delta, dot)
-        l = cross / sin_delta
-        return cls(m=m, n=n, delta=delta, l=l, m_flipped=flipped)
+        return cls(m=m, n=n, delta=delta, l=_orthonormal(cross / sin_delta, m),
+                   m_flipped=flipped)
 
     def swap(self) -> "AxisPair":
         """Exchange the roles of the two axes; the normal flips sign."""
-        return AxisPair(m=self.n, n=self.m, delta=self.delta, l=-self.l,
+        return AxisPair(m=self.n, n=self.m, delta=self.delta,
+                        l=_orthonormal(-self.l, self.n),
                         m_flipped=self.m_flipped, swapped=not self.swapped)
 
-    def frame(self, tol: Tolerances = DEFAULT_TOL) -> Frame:
-        return frame_for(self.l, self.m, tol)
+
+def _orthonormal(l: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Unit vector along the part of ``l`` orthogonal to the unit ``m``."""
+    l = l - float(l @ m) * m
+    return l / math.sqrt(float(l @ l))
 
 
 @dataclass(frozen=True)
@@ -191,7 +196,7 @@ def analyze(u: Su2Element, m_raw, n_raw, tol: Tolerances = DEFAULT_TOL) -> Analy
     # caller's order for determinism.
     if overlap_b(pair.m, u, tol) < overlap_b(pair.n, u, tol):
         governing = pair.swap()
-    triple = generalized_euler(u, governing.frame(tol), tol)
+    triple = generalized_euler(u, governing, tol)
     alpha, beta, gamma = triple
     delta = governing.delta
     m_odd = m_odd_count(beta, delta, tol)
@@ -230,7 +235,7 @@ def beta_prime_of(u: Su2Element, pair: AxisPair,
     ``f_angle(a, b, delta)``.
     """
     shifted = compose(rot(pair.l, -pair.delta, tol), u, tol)
-    return generalized_euler(shifted, pair.frame(tol), tol).beta
+    return generalized_euler(shifted, pair, tol).beta
 
 
 def _lowenthal_from_delta(delta: float, tol: Tolerances) -> int:

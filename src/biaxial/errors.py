@@ -14,10 +14,6 @@ class InvalidRotationError(BiaxialError):
     determinant one within tolerance."""
 
 
-class InvalidFrameError(BiaxialError):
-    """Frame axes are not orthonormal within tolerance."""
-
-
 class AxesParallelError(BiaxialError):
     """The two rotation axes are parallel or anti-parallel within tolerance."""
 

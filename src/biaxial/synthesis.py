@@ -30,6 +30,7 @@ from .config import DEFAULT_TOL, Tolerances
 from .counting import AxisPair, CountReport, analyze, ceil_snapped
 from .core import (
     IDENTITY,
+    EulerTriple,
     Su2Element,
     compose,
     generalized_euler,
@@ -280,11 +281,14 @@ def _solve_slabs(plan: SynthesisPlan, delta: float,
     return trips
 
 
-def _odd_chain(u: Su2Element, pair: AxisPair, t_params: Sequence[float] | None,
+def _odd_chain(triple: EulerTriple, pair: AxisPair, t_params: Sequence[float] | None,
                branch: Branch | None, tol: Tolerances) -> _Chain:
-    """Raw angles of the odd construction m, n, m, ..., m."""
+    """Raw angles of the odd construction m, n, m, ..., m.
+
+    ``triple`` is the target's generalized Euler triple in the pair's frame.
+    """
     delta = pair.delta
-    alpha, beta, gamma = generalized_euler(u, pair.frame(tol), tol)
+    alpha, beta, gamma = triple
     plan = _with_overrides(plan_odd(beta, delta, tol), t_params, branch)
     if not plan.slabs:
         return _Chain(AxisLabel.M, [alpha + gamma], plan, None)
@@ -303,7 +307,7 @@ def _even_chain(u: Su2Element, pair: AxisPair, t_params: Sequence[float] | None,
     """Raw angles of the even construction n, m, ..., n, m."""
     delta = pair.delta
     shifted = compose(rot(pair.l, -delta, tol), u, tol)
-    ap, bp, gp = generalized_euler(shifted, pair.frame(tol), tol)
+    ap, bp, gp = generalized_euler(shifted, pair, tol)
     plan, merged = _plan_even(bp, delta, tol)
     plan = _with_overrides(plan, t_params, branch)
     if merged:
@@ -424,7 +428,7 @@ def decompose_odd(u: Su2Element, pair: AxisPair,
     Length is ``2*ceil(beta/(2*delta)) + 1``; a vanishing middle angle gives
     the single bare m-rotation.
     """
-    chain = _odd_chain(u, pair, t_params, branch, tol)
+    chain = _odd_chain(generalized_euler(u, pair, tol), pair, t_params, branch, tol)
     return _finish(chain, u, pair, "odd", pair.m, pair.n, tol)
 
 
@@ -476,9 +480,12 @@ def decompose_min(u: Su2Element, m_raw, n_raw,
     analysis = analyze(u, m_raw, n_raw, tol)
     parity = analysis.report.chosen_parity
     governing = analysis.governing
-    build = _odd_chain if parity == "odd" else _even_chain
-    source = inverse(u) if parity == "even-nm" else u
-    chain = build(source, governing, t_params, branch, tol)
+    if parity == "odd":
+        # The analysis already factored u in the governing frame.
+        chain = _odd_chain(analysis.triple, governing, t_params, branch, tol)
+    else:
+        source = inverse(u) if parity == "even-nm" else u
+        chain = _even_chain(source, governing, t_params, branch, tol)
     return _finish(chain, u, analysis.pair, parity,
                    np.asarray(m_raw, dtype=float), np.asarray(n_raw, dtype=float),
                    tol, reverse=parity == "even-nm", swapped=governing.swapped,

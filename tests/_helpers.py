@@ -135,7 +135,7 @@ def pair_frame_margin(u: Su2Element, pair) -> float:
     """Branch-boundary margin for the pair's own frame (no governing swap)."""
     from biaxial import generalized_euler
 
-    alpha, beta, gamma = generalized_euler(u, pair.frame())
+    alpha, beta, gamma = generalized_euler(u, pair)
     delta = pair.delta
     f_mn = f_angle(alpha, beta, delta)
     margins = [

@@ -244,7 +244,7 @@ def test_criterion_6_parity_formulas_against_search():
             m, n = random_pair(rng, 0.5, 0.5 * math.pi)
             pair = AxisPair.from_axes(m, n)
             u = random_su2(rng)
-            beta = generalized_euler(u, pair.frame()).beta
+            beta = generalized_euler(u, pair).beta
             k = m_odd_count(beta, pair.delta)
             if k >= 3 and pair_frame_margin(u, pair) > 1e-3:
                 break
@@ -263,7 +263,7 @@ def test_criterion_6_parity_formulas_against_search():
             m, n = random_pair(rng, 0.5, 0.5 * math.pi)
             pair = AxisPair.from_axes(m, n)
             u = random_su2(rng)
-            triple = generalized_euler(u, pair.frame())
+            triple = generalized_euler(u, pair)
             g = g_count(triple.alpha, triple.beta, pair.delta)
             if g in (4, 6) and pair_frame_margin(u, pair) > 1e-3:
                 break

@@ -12,7 +12,7 @@ import pytest
 MODULES = ("core", "counting", "synthesis", "oracle", "serialization")
 
 TRACED = {
-    "core": ("compose", "rot", "unit_axis", "frame_for", "generalized_euler"),
+    "core": ("compose", "rot", "unit_axis", "generalized_euler"),
     "synthesis": ("replay_factors", "solve_triple"),
     "oracle": ("numeric_search", "geodesic_bound_check"),
     "serialization": ("parse_instance", "parse_certificate", "certificate_to_obj"),

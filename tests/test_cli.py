@@ -456,7 +456,7 @@ class TestTolOverride:
 
     def test_uniform_sets_every_field(self):
         tol = Tolerances.uniform(1e-6)
-        assert tol == Tolerances(norm=1e-6, orth=1e-6, angle=1e-6, parallel=1e-6,
+        assert tol == Tolerances(norm=1e-6, angle=1e-6, parallel=1e-6,
                                  ceil=1e-6, recon=1e-6)
         assert Tolerances.uniform(0.0).recon == 0.0
         for bad in (math.nan, math.inf, -1e-9):

@@ -1,4 +1,4 @@
-"""Rotation algebra, homomorphism, Euler factorizations, frames, geodesic."""
+"""Rotation algebra, homomorphism, Euler factorizations, geodesic."""
 
 import math
 
@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from biaxial import (
     IDENTITY,
+    AxisPair,
     InvalidAxisError,
-    InvalidFrameError,
     InvalidRotationError,
     Su2Element,
     compose,
     euler_zyz,
-    frame_for,
     from_so3,
     generalized_euler,
     geodesic,
@@ -236,36 +235,26 @@ class TestEulerZyz:
             assert math.sin(0.5 * beta) == pytest.approx(abs(b), abs=1e-12)
 
 
-class TestFrame:
-    def test_keeps_orthogonal_axes(self):
-        frame = frame_for(EZ, EX)
-        assert frame.l.tolist() == EZ.tolist()
-        assert frame.m.tolist() == EX.tolist()
-
-    def test_rejects_non_orthogonal(self):
-        with pytest.raises(InvalidFrameError):
-            frame_for(EZ, EZ)
-
-    def test_rejects_non_unit_axis(self):
-        with pytest.raises(InvalidAxisError):
-            frame_for(2.0 * EZ, EX)
-
-
 def random_frame(rng):
     m = random_axis(rng)
     l = np.cross(m, random_axis(rng))
     return l / np.linalg.norm(l), m
 
 
+def frame_pair(l, m) -> AxisPair:
+    """The axis pair at gap 1 whose Euler frame is the orthonormal (l, m)."""
+    return AxisPair.from_axes(m, math.cos(1.0) * m + math.sin(1.0) * np.cross(l, m))
+
+
 class TestGeneralizedEuler:
     def test_identity(self):
-        frame = frame_for(EZ, EX)
-        assert generalized_euler(IDENTITY, frame) == (0.0, 0.0, 0.0)
+        pair = frame_pair(EZ, EX)
+        assert generalized_euler(IDENTITY, pair) == (0.0, 0.0, 0.0)
 
     def test_pure_l_rotation(self):
-        frame = frame_for(EZ, EX)
+        pair = frame_pair(EZ, EX)
         for beta in (0.4, 1.2, 2.9):
-            triple = generalized_euler(rot(EZ, beta), frame)
+            triple = generalized_euler(rot(EZ, beta), pair)
             assert triple.alpha == pytest.approx(0.0, abs=1e-12)
             assert triple.beta == pytest.approx(beta, abs=1e-12)
             assert triple.gamma == pytest.approx(0.0, abs=1e-12)
@@ -274,28 +263,28 @@ class TestGeneralizedEuler:
         rng = np.random.default_rng(9)
         for _ in range(200):
             l, m = random_frame(rng)
-            frame = frame_for(l, m)
+            pair = frame_pair(l, m)
             known = compose(rot(m, 0.3), compose(rot(l, 1.1), rot(m, -0.7)))
-            assert generalized_euler(known, frame) == pytest.approx((0.3, 1.1, -0.7),
-                                                                    abs=1e-12)
+            assert generalized_euler(known, pair) == pytest.approx((0.3, 1.1, -0.7),
+                                                                   abs=1e-12)
             a, c = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=2)
             # Haar targets, then middle angles 0 and pi, each in both lifts.
             targets = [random_su2(rng), random_su2(rng), known, rot(m, a),
                        compose(rot(m, a), compose(rot(l, math.pi), rot(m, c)))]
             targets += [negate(u) for u in targets]
             for u in targets:
-                alpha, beta, gamma = generalized_euler(u, frame)
+                alpha, beta, gamma = generalized_euler(u, pair)
                 rebuilt = compose(rot(m, alpha), compose(rot(l, beta), rot(m, gamma)))
                 assert quat_distance(rebuilt, u) < 1e-13
 
     def test_coincides_with_zyz_for_coordinate_frame(self):
         rng = np.random.default_rng(10)
-        frame = frame_for(EY, EZ)
+        pair = frame_pair(EY, EZ)
         targets = [random_su2(rng) for _ in range(100)]
         targets += [IDENTITY, negate(IDENTITY), rot(EZ, 0.7), rot(EY, math.pi),
                     compose(rot(EX, math.pi), rot(EZ, 0.3))]
         for u in targets:
-            assert generalized_euler(u, frame) == euler_zyz(u)
+            assert generalized_euler(u, pair) == euler_zyz(u)
 
 
 class TestGeodesic:

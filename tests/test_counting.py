@@ -152,6 +152,19 @@ class TestAxisPair:
         assert np.allclose(swapped.l, -pair.l)
         assert np.allclose(swapped.m, pair.n)
 
+    @pytest.mark.parametrize("gap", [5e-5, 1e-4, 1e-2, 1.0, math.pi - 1e-3])
+    def test_frame_is_orthonormal(self, gap):
+        # m x n / |m x n| alone is off orthogonal to m by about 1e-16/delta.
+        rng = np.random.default_rng(37)
+        eps = np.finfo(float).eps
+        for _ in range(100):
+            m, n = random_pair(rng, gap, gap)
+            for sign in (1.0, -1.0):
+                pair = AxisPair.from_axes(sign * m, n)
+                for p in (pair, pair.swap()):
+                    assert abs(float(p.l @ p.m)) <= 4.0 * eps
+                    assert abs(float(np.linalg.norm(p.l)) - 1.0) <= 4.0 * eps
+
 
 class TestBetaPrime:
     def test_gap_rotation_cancels(self):
@@ -187,8 +200,9 @@ class TestCountMin:
             assert report.chosen_parity == "odd"
 
     def test_bare_m_rotation_is_one_factor_at_small_gaps(self):
-        # The pair's normal is off orthogonal to m by about 1e-16/delta; the
-        # Euler frame must not read that as a middle angle.
+        # The cross-product normal is off orthogonal to m by about
+        # 1e-16/delta; the Euler frame must not read that as a middle angle.
+        # A bare n rotation is read in the swapped frame.
         rng = np.random.default_rng(31)
         for delta in (1e-2, 1e-3, 1e-4):
             for _ in range(50):
@@ -196,6 +210,7 @@ class TestCountMin:
                 theta = rng.uniform(-2.0 * math.pi, 2.0 * math.pi)
                 for sign in (1.0, -1.0):
                     assert count_min(rot(sign * m, theta), sign * m, n).n_min == 1
+                    assert count_min(rot(n, theta), sign * m, n).n_min == 1
 
     def test_worked_two_factor(self):
         report = count_min(rot(EY, math.pi), EZ, EX)

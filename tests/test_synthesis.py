@@ -40,6 +40,7 @@ from biaxial.synthesis import (
     h_param,
     plan_odd,
 )
+import biaxial.counting
 import biaxial.synthesis as synthesis
 from biaxial.counting import analyze
 from _helpers import count_replay_calls, random_axis, random_pair, random_su2
@@ -231,7 +232,7 @@ class TestDecomposeEvenReversed:
             m, n = random_pair(rng, 0.25, 0.5 * math.pi)
             pair = AxisPair.from_axes(m, n)
             u = random_su2(rng)
-            triple = generalized_euler(u, pair.frame())
+            triple = generalized_euler(u, pair)
             dec = decompose_even_reversed(u, pair)
             assert dec.count == g_count(triple.gamma, -triple.beta, pair.delta)
             assert dec.residual < 1e-9
@@ -313,7 +314,7 @@ class TestPlanInvariants:
             u = random_su2(rng)
             delta = pair.delta
             odd = decompose_odd(u, pair)
-            beta = generalized_euler(u, pair.frame()).beta
+            beta = generalized_euler(u, pair).beta
             assert sum(odd.plan.slabs) == pytest.approx(beta, abs=1e-9)
             assert all(0.0 < b <= 2.0 * delta + 1e-9 for b in odd.plan.slabs)
             even = decompose_even(u, pair)
@@ -607,6 +608,29 @@ class TestDecomposeMinReport:
         u = rot(EY, 0.8)
         for build in PUBLIC_CONSTRUCTION.values():
             assert build(u, pair).report is None
+
+
+class TestDecomposeMinEulerCalls:
+    def test_odd_reuses_the_analysis_triple(self, monkeypatch):
+        # The analysis factors u in the governing frame; the odd chain reads
+        # that triple, and only the even chains factor a shifted target.
+        calls = []
+        factor = synthesis.generalized_euler
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return factor(*args, **kwargs)
+
+        for module in (biaxial.counting, synthesis):
+            monkeypatch.setattr(module, "generalized_euler", counted)
+        seen = set()
+        for u, m, n in pinned_cases():
+            for mm in (m, -m):
+                calls.clear()
+                dec = decompose_min(u, mm, n)
+                assert len(calls) == (1 if dec.parity == "odd" else 2)
+                seen.add(dec.parity)
+        assert seen == {"odd", "even-mn", "even-nm"}
 
 
 class TestSmallGapResidual:
