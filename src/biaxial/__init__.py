@@ -10,7 +10,6 @@ numerical search.
 from .config import DEFAULT_TOL, Tolerances
 from .core import (
     IDENTITY,
-    EulerTriple,
     Su2Element,
     compose,
     euler_zyz,
@@ -27,7 +26,6 @@ from .core import (
 )
 from .counting import (
     AxisPair,
-    CountReport,
     count_min,
     f_angle,
     g_count,
@@ -45,10 +43,7 @@ from .errors import (
     InvalidSlabError,
 )
 from .oracle import (
-    GeodesicBoundReport,
-    MinimalityReport,
     PatternSpec,
-    SearchResult,
     geodesic_bound_check,
     minimality_certificate,
     numeric_search,
@@ -58,8 +53,6 @@ from .synthesis import (
     Branch,
     Decomposition,
     Factor,
-    SynthesisPlan,
-    VerificationReport,
     decompose_min,
     replay_factors,
     solve_triple,

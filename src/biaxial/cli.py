@@ -10,12 +10,13 @@ or stdin and write JSON to a file or stdout::
     biaxial oracle     --input inst.json [--starts N] [--seed N]
 
 Exit codes: 0 success, 1 verification or certificate failure, 2 parse or
-validation error, 3 parallel axes, 4 reconstruction residual breach.  A
-batch exits with the largest code of its items; an item that fails with 2
-or 3 keeps its slot as ``{"error": message, "exit": code}``.  The
-environment variable ``BIAXIAL_TOL`` overrides every default tolerance; the
-``--tol`` flag overrides both, and the environment is then not read.  A
-tolerance that is not a finite number >= 0 exits with code 2.
+validation error or an unreadable input or unwritable output, 3 parallel
+axes, 4 reconstruction residual breach.  A batch exits with the largest
+code of its items; an item that fails with 2 or 3 keeps its slot as
+``{"error": message, "exit": code}``.  The environment variable
+``BIAXIAL_TOL`` overrides every default tolerance; the ``--tol`` flag
+overrides both, and the environment is then not read.  A tolerance that is
+not a finite number >= 0 exits with code 2.
 """
 
 from __future__ import annotations
@@ -224,7 +225,11 @@ def main(argv: list[str] | None = None) -> int:
             out = {"error": str(exc), "exit": item_code}
         outputs.append(out)
         code = max(code, item_code)
-    _write_json(args.output, outputs if batch else outputs[0])
+    try:
+        _write_json(args.output, outputs if batch else outputs[0])
+    except OSError as exc:
+        print(f"biaxial: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     return code
 
 

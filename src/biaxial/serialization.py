@@ -68,13 +68,13 @@ class Certificate:
 
 
 def _numbers(obj: Any, length: int, message: str) -> list[float]:
-    # The shape is checked before float() sees an element, so a scalar or a
-    # nested value is a ValueError here rather than a TypeError later.
-    if isinstance(obj, (list, tuple)) and len(obj) == length:
-        try:
-            return [float(v) for v in obj]
-        except TypeError:
-            pass
+    # Only JSON numbers: float() would also take booleans and numeric
+    # strings, and a scalar or a nested value is a ValueError here rather
+    # than a TypeError later.
+    if (isinstance(obj, (list, tuple)) and len(obj) == length
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in obj)):
+        return [float(v) for v in obj]
     raise ValueError(message)
 
 

@@ -76,8 +76,7 @@ class Branch(enum.Enum):
     MINUS = "minus"
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     """One rotation in a sequence: an axis tag and an angle in (-2*pi, 2*pi]."""
 
     label: AxisLabel

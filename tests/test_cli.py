@@ -339,10 +339,12 @@ class TestOrientation:
 
 
 class TestMalformedShapes:
-    """A JSON value of the wrong shape exits 2 with a message, not a traceback."""
+    """A JSON value of the wrong shape or type exits 2 with a message, not a
+    traceback."""
 
     @pytest.mark.parametrize("target", [
-        {"su2": 5}, {"so3": 5}, {"axis_angle": 5}, {"euler_zyz": 5}])
+        {"su2": 5}, {"so3": 5}, {"axis_angle": 5}, {"euler_zyz": 5},
+        {"su2": [True, 0, 0, 0]}, {"euler_zyz": ["0.3", "1.1", "-0.7"]}])
     def test_scalar_target_value(self, tmp_path, capsys, target):
         inp = tmp_path / "in.json"
         inp.write_text(json.dumps({"m": EZ, "n": EX, "target": target}))
@@ -352,7 +354,9 @@ class TestMalformedShapes:
         assert captured.out == ""
         assert "target must be" in captured.err
 
-    @pytest.mark.parametrize("axes", [{"m": 5, "n": EX}, {"m": EZ, "n": 5}])
+    @pytest.mark.parametrize("axes", [
+        {"m": 5, "n": EX}, {"m": EZ, "n": 5},
+        {"m": [True, False, False], "n": EX}, {"m": EZ, "n": ["1", "0", "0"]}])
     def test_scalar_worst_case_axis(self, tmp_path, capsys, axes):
         inp = tmp_path / "in.json"
         inp.write_text(json.dumps(axes))
@@ -462,6 +466,17 @@ class TestTolOverride:
         for bad in (math.nan, math.inf, -1e-9):
             with pytest.raises(ValueError):
                 Tolerances.uniform(bad)
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps(WORKED))
+        outp = tmp_path / "missing" / "out.json"
+        code = main(["count", "--input", str(inp), "--output", str(outp)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "cannot write output" in captured.err
+        assert not outp.exists()
 
     def test_output_file(self, tmp_path, capsys):
         inp = tmp_path / "in.json"

@@ -62,10 +62,22 @@ class TestParseInstance:
         {"su2": [[1.0], 0.0, 0.0, 0.0]},
         {"axis_angle": {"axis": EY, "angle": [1.0]}},
         {"axis_angle": {"axis": 5, "angle": 1.0}},
+        {"su2": [True, 0, 0, 0]},
+        {"su2": ["1", "0", "0", "0"]},
+        {"so3": ["1", 0, 0, 0, 1, 0, 0, 0, 1]},
+        {"axis_angle": {"axis": EY, "angle": "3.0"}},
+        {"axis_angle": {"axis": ["0", "1", "0"], "angle": 3.0}},
+        {"euler_zyz": [True, False, False]},
     ])
     def test_rejects_malformed_targets(self, bad):
         with pytest.raises(ValueError):
             parse_instance(base_instance(bad))
+
+    @pytest.mark.parametrize("m", [[True, False, False], ["0", "0", "1"]])
+    def test_rejects_non_number_axes(self, m):
+        # float() takes both; neither is a JSON number.
+        with pytest.raises(ValueError, match="m must be a list of 3 numbers"):
+            parse_instance({"m": m, "n": EX, "target": {"su2": [1, 0, 0, 0]}})
 
     def test_rejects_missing_keys(self):
         with pytest.raises(ValueError):
