@@ -50,7 +50,6 @@ from .oracle import (
 )
 from .synthesis import (
     AxisLabel,
-    Branch,
     Decomposition,
     Factor,
     decompose_min,

@@ -4,7 +4,7 @@ Subcommands read one JSON instance (or an array of instances) from a file
 or stdin and write JSON to a file or stdout::
 
     biaxial count      --input inst.json
-    biaxial decompose  --input inst.json [--trim] [--branch plus|minus]
+    biaxial decompose  --input inst.json [--trim]
     biaxial verify     --input pair.json      # {"instance": ..., "certificate": ...}
     biaxial worst-case --input axes.json      # {"m": [...], "n": [...]}
     biaxial oracle     --input inst.json [--starts N] [--seed N]
@@ -37,12 +37,7 @@ from .serialization import (
     parse_certificate,
     parse_instance,
 )
-from .synthesis import (
-    Branch,
-    Decomposition,
-    decompose_min,
-    verify_decomposition,
-)
+from .synthesis import Decomposition, decompose_min, verify_decomposition
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -75,12 +70,6 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
     return Tolerances.from_env()
 
 
-def _parse_t_params(text: str | None) -> list[float] | None:
-    if text is None:
-        return None
-    return [float(part) for part in text.split(",") if part.strip() != ""]
-
-
 def _cmd_count(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[int, Any]:
     instance = parse_instance(item, tol)
     result = analyze(instance.target, instance.m, instance.n, tol)
@@ -96,10 +85,8 @@ def _decomposition_result(dec: Decomposition, tol: Tolerances) -> tuple[int, Any
 
 def _cmd_decompose(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[int, Any]:
     instance = parse_instance(item, tol)
-    branch = Branch(args.branch) if args.branch else None
     dec = decompose_min(instance.target, instance.m, instance.n,
-                        t_params=_parse_t_params(args.t_params),
-                        branch=branch, trim=args.trim, tol=tol)
+                        trim=args.trim, tol=tol)
     return _decomposition_result(dec, tol)
 
 
@@ -186,9 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "decompose":
             p.add_argument("--trim", action="store_true",
                            help="elide zero-angle factors at the sequence ends")
-            p.add_argument("--branch", choices=["plus", "minus"], default=None)
-            p.add_argument("--t-params", dest="t_params", default=None,
-                           help="comma-separated free parameters, one per slab")
         if name == "oracle":
             p.add_argument("--starts", type=int, default=64)
             p.add_argument("--seed", type=int, default=0)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -45,9 +45,7 @@ from .errors import InfeasibleSlabError, InvalidSlabError
 
 __all__ = [
     "AxisLabel",
-    "Branch",
     "Factor",
-    "SynthesisPlan",
     "Decomposition",
     "VerificationReport",
     "h_param",
@@ -71,26 +69,11 @@ class AxisLabel(enum.Enum):
         return AxisLabel.N if self is AxisLabel.M else AxisLabel.M
 
 
-class Branch(enum.Enum):
-    PLUS = "plus"
-    MINUS = "minus"
-
-
 class Factor(NamedTuple):
     """One rotation in a sequence: an axis tag and an angle in (-2*pi, 2*pi]."""
 
     label: AxisLabel
     angle: float
-
-
-@dataclass(frozen=True)
-class SynthesisPlan:
-    """Slab schedule realising a middle angle as a chain of axis triples."""
-
-    parity: str
-    slabs: tuple[float, ...]
-    t_params: tuple[float, ...]
-    branches: tuple[Branch, ...]
 
 
 class TripleSolution(NamedTuple):
@@ -108,8 +91,10 @@ class Decomposition:
     target with exact quaternion sign up to ``residual``.  ``parity`` is
     stated in the governing (normalized) axis order; ``swapped`` marks a
     governing order that exchanged m and n, so the caller-visible label
-    order is reversed.  ``report`` is the analysis :func:`decompose_min`
-    ran; the per-parity constructions run none and are never swapped.
+    order is reversed.  ``slabs`` are the middle-angle slabs the chain
+    realises, one m-n-m triple each.  ``report`` is the analysis
+    :func:`decompose_min` ran; the per-parity constructions run none and are
+    never swapped.
     """
 
     factors: tuple[Factor, ...]
@@ -119,7 +104,7 @@ class Decomposition:
     pair: AxisPair
     parity: str
     residual: float
-    plan: SynthesisPlan | None = None
+    slabs: tuple[float, ...] = ()
     beta_prime: float | None = None
     report: CountReport | None = None
     swapped: bool = False
@@ -163,14 +148,13 @@ def h_param(beta_tilde: float, delta: float, t: float,
 
 
 def solve_triple(beta_j: float, delta: float, t: float = 0.0,
-                 branch: Branch = Branch.PLUS,
                  tol: Tolerances = DEFAULT_TOL) -> TripleSolution:
     """Angles (alpha_j, gamma_j, theta_j) realising one slab:
 
         rot(l, beta_j) = rot(m, -alpha_j) * rot(n, theta_j) * rot(m, -gamma_j)
 
-    for orthogonal l, m and ``n = sin(delta) l x m + cos(delta) m``.  The two
-    branches are distinct closed-form solution families.
+    for orthogonal l, m and ``n = sin(delta) l x m + cos(delta) m``.  ``t``
+    is read only at the fully degenerate corner (see :func:`h_param`).
     """
     if beta_j > 2.0 * delta + tol.angle:
         raise InfeasibleSlabError(
@@ -179,9 +163,7 @@ def solve_triple(beta_j: float, delta: float, t: float = 0.0,
         raise InfeasibleSlabError(f"slab {beta_j!r} is negative")
     h = h_param(min(beta_j, 2.0 * delta), delta, t, tol)
     s = 2.0 * math.asin(min(1.0, max(-1.0, math.sin(0.5 * beta_j) / math.sin(delta))))
-    if branch is Branch.PLUS:
-        return TripleSolution(h - 0.5 * math.pi, h + 0.5 * math.pi, s)
-    return TripleSolution(-h + 0.5 * math.pi, -h + 1.5 * math.pi, 2.0 * math.pi - s)
+    return TripleSolution(h - 0.5 * math.pi, h + 0.5 * math.pi, s)
 
 
 def _slab_schedule(total: float, delta: float, k: int) -> tuple[float, ...]:
@@ -201,52 +183,31 @@ def _slab_schedule(total: float, delta: float, k: int) -> tuple[float, ...]:
     return (full,) * (k - 1) + (remainder,)
 
 
-def plan_odd(beta: float, delta: float, tol: Tolerances = DEFAULT_TOL) -> SynthesisPlan:
+def plan_odd(beta: float, delta: float,
+             tol: Tolerances = DEFAULT_TOL) -> tuple[float, ...]:
     """Slab schedule for the odd construction; empty when beta vanishes.
 
     Uses ``k = ceil(beta/(2*delta))`` slabs, all but the last equal to
     ``2*delta``.
     """
-    k = ceil_snapped(beta / (2.0 * delta), tol.ceil)
-    slabs = _slab_schedule(beta, delta, k)
-    return SynthesisPlan(parity="odd", slabs=slabs,
-                         t_params=(0.0,) * k, branches=(Branch.PLUS,) * k)
+    return _slab_schedule(beta, delta, ceil_snapped(beta / (2.0 * delta), tol.ceil))
 
 
 def _plan_even(beta_prime: float, delta: float,
-               tol: Tolerances = DEFAULT_TOL) -> tuple[SynthesisPlan, bool]:
+               tol: Tolerances = DEFAULT_TOL) -> tuple[tuple[float, ...], bool]:
     """Slab schedule for ``beta_prime + delta`` plus a merge flag.
 
     When the auxiliary angle reaches the gap, the first slab is pinned to
-    ``2*delta`` with free parameter pi/2, which zeroes the leading m-angle so
-    the two leading n-rotations merge into one (2k factors total).  Otherwise
-    a single unmerged slab yields the four-factor fallback.
+    ``2*delta`` and solved with free parameter pi/2, which zeroes the leading
+    m-angle so the two leading n-rotations merge into one (2k factors total).
+    Otherwise a single unmerged slab yields the four-factor fallback.
     """
     if beta_prime >= delta - tol.angle:
         k = ceil_snapped(beta_prime / (2.0 * delta) + 0.5, tol.ceil)
-        if k <= 1:
-            slabs: tuple[float, ...] = (2.0 * delta,)
-            k = 1
-        else:
-            slabs = (2.0 * delta,) + _slab_schedule(
-                beta_prime + delta - 2.0 * delta, delta, k - 1)
-        t_params = (0.5 * math.pi,) + (0.0,) * (k - 1)
-        return (SynthesisPlan(parity="even-mn", slabs=slabs, t_params=t_params,
-                              branches=(Branch.PLUS,) * k), True)
-    plan = SynthesisPlan(parity="even-mn", slabs=(beta_prime + delta,),
-                         t_params=(0.0,), branches=(Branch.PLUS,))
-    return plan, False
-
-
-def _with_overrides(plan: SynthesisPlan, t_params: Sequence[float] | None,
-                    branch: Branch | None) -> SynthesisPlan:
-    if t_params is not None:
-        padded = tuple(t_params)[: len(plan.slabs)]
-        padded += plan.t_params[len(padded):]
-        plan = replace(plan, t_params=padded)
-    if branch is not None:
-        plan = replace(plan, branches=(branch,) * len(plan.slabs))
-    return plan
+        slabs = (2.0 * delta,) + _slab_schedule(
+            beta_prime + delta - 2.0 * delta, delta, k - 1)
+        return slabs, True
+    return (beta_prime + delta,), False
 
 
 class _Chain(NamedTuple):
@@ -258,60 +219,57 @@ class _Chain(NamedTuple):
 
     first: AxisLabel
     angles: list[float]
-    plan: SynthesisPlan
+    slabs: tuple[float, ...]
     beta_prime: float | None
 
 
-def _solve_slabs(plan: SynthesisPlan, delta: float,
-                 tol: Tolerances) -> list[TripleSolution]:
-    """Triples for every slab of a plan, solving each distinct slab once.
+def _solve_slabs(slabs: tuple[float, ...], delta: float, tol: Tolerances,
+                 first_t: float = 0.0) -> list[TripleSolution]:
+    """Triples for every slab, solving each distinct ``(slab, t)`` once.
 
-    All full slabs share one ``(2*delta, t, branch)`` key and
+    The free parameter ``t`` is ``first_t`` on the first slab and 0 on the
+    rest.  All full slabs after the first share one key and
     :func:`solve_triple` is pure, so a chain of any length needs at most a
     few solves.
     """
-    solved: dict[tuple[float, float, Branch], TripleSolution] = {}
+    solved: dict[tuple[float, float], TripleSolution] = {}
     trips = []
-    for key in zip(plan.slabs, plan.t_params, plan.branches):
+    for j, slab in enumerate(slabs):
+        key = (slab, first_t if j == 0 else 0.0)
         trip = solved.get(key)
         if trip is None:
-            trip = solved[key] = solve_triple(key[0], delta, key[1], key[2], tol)
+            trip = solved[key] = solve_triple(slab, delta, key[1], tol)
         trips.append(trip)
     return trips
 
 
-def _odd_chain(triple: EulerTriple, pair: AxisPair, t_params: Sequence[float] | None,
-               branch: Branch | None, tol: Tolerances) -> _Chain:
+def _odd_chain(triple: EulerTriple, pair: AxisPair, tol: Tolerances) -> _Chain:
     """Raw angles of the odd construction m, n, m, ..., m.
 
     ``triple`` is the target's generalized Euler triple in the pair's frame.
     """
     delta = pair.delta
     alpha, beta, gamma = triple
-    plan = _with_overrides(plan_odd(beta, delta, tol), t_params, branch)
-    if not plan.slabs:
-        return _Chain(AxisLabel.M, [alpha + gamma], plan, None)
-    trips = _solve_slabs(plan, delta, tol)
+    slabs = plan_odd(beta, delta, tol)
+    if not slabs:
+        return _Chain(AxisLabel.M, [alpha + gamma], slabs, None)
+    trips = _solve_slabs(slabs, delta, tol)
     angles = [alpha - trips[0].alpha]
     for trip, nxt in zip(trips, trips[1:]):
         angles.append(trip.theta)
         angles.append(-trip.gamma - nxt.alpha)
     angles.append(trips[-1].theta)
     angles.append(-trips[-1].gamma + gamma)
-    return _Chain(AxisLabel.M, angles, plan, None)
+    return _Chain(AxisLabel.M, angles, slabs, None)
 
 
-def _even_chain(u: Su2Element, pair: AxisPair, t_params: Sequence[float] | None,
-                branch: Branch | None, tol: Tolerances) -> _Chain:
+def _even_chain(u: Su2Element, pair: AxisPair, tol: Tolerances) -> _Chain:
     """Raw angles of the even construction n, m, ..., n, m."""
     delta = pair.delta
     shifted = compose(rot(pair.l, -delta, tol), u, tol)
     ap, bp, gp = generalized_euler(shifted, pair, tol)
-    plan, merged = _plan_even(bp, delta, tol)
-    plan = _with_overrides(plan, t_params, branch)
-    if merged:
-        plan = replace(plan, t_params=(0.5 * math.pi,) + plan.t_params[1:])
-    trips = _solve_slabs(plan, delta, tol)
+    slabs, merged = _plan_even(bp, delta, tol)
+    trips = _solve_slabs(slabs, delta, tol, 0.5 * math.pi if merged else 0.0)
     if merged:
         angles = [ap + trips[0].theta]
         for prev, trip in zip(trips, trips[1:]):
@@ -321,7 +279,7 @@ def _even_chain(u: Su2Element, pair: AxisPair, t_params: Sequence[float] | None,
     else:
         trip = trips[0]
         angles = [ap, -trip.alpha, trip.theta, -trip.gamma + gp]
-    return _Chain(AxisLabel.N, angles, plan, bp)
+    return _Chain(AxisLabel.N, angles, slabs, bp)
 
 
 def _finish(chain: _Chain, u: Su2Element, pair: AxisPair, parity: str,
@@ -374,7 +332,7 @@ def _finish(chain: _Chain, u: Su2Element, pair: AxisPair, parity: str,
             break
     return Decomposition(factors=factors, target=u, axis_m=axis_m,
                          axis_n=axis_n, pair=pair, parity=parity,
-                         residual=residual, plan=chain.plan,
+                         residual=residual, slabs=chain.slabs,
                          beta_prime=chain.beta_prime, report=report,
                          swapped=swapped)
 
@@ -419,21 +377,17 @@ def replay_factors(factors: Sequence[Factor], axis_m, axis_n,
 
 
 def decompose_odd(u: Su2Element, pair: AxisPair,
-                  t_params: Sequence[float] | None = None,
-                  branch: Branch | None = None,
                   tol: Tolerances = DEFAULT_TOL) -> Decomposition:
     """Odd-length sequence m, n, m, ..., m realising ``u`` about the pair.
 
     Length is ``2*ceil(beta/(2*delta)) + 1``; a vanishing middle angle gives
     the single bare m-rotation.
     """
-    chain = _odd_chain(generalized_euler(u, pair, tol), pair, t_params, branch, tol)
+    chain = _odd_chain(generalized_euler(u, pair, tol), pair, tol)
     return _finish(chain, u, pair, "odd", pair.m, pair.n, tol)
 
 
 def decompose_even(u: Su2Element, pair: AxisPair,
-                   t_params: Sequence[float] | None = None,
-                   branch: Branch | None = None,
                    tol: Tolerances = DEFAULT_TOL) -> Decomposition:
     """Even-length sequence n, m, ..., n, m realising ``u`` about the pair.
 
@@ -441,16 +395,13 @@ def decompose_even(u: Su2Element, pair: AxisPair,
     (alpha', beta', gamma'); when ``beta'`` reaches the gap the leading
     m-angle is zeroed and the two leading n-rotations merge, giving
     ``2*ceil(beta'/(2*delta) + 1/2)`` factors, else four.  The first slab's
-    free parameter is pinned to pi/2 (the merge needs it); ``t_params``
-    overrides apply to the remaining slabs.
+    free parameter is pinned to pi/2 (the merge needs it).
     """
-    chain = _even_chain(u, pair, t_params, branch, tol)
+    chain = _even_chain(u, pair, tol)
     return _finish(chain, u, pair, "even-mn", pair.m, pair.n, tol)
 
 
 def decompose_even_reversed(u: Su2Element, pair: AxisPair,
-                            t_params: Sequence[float] | None = None,
-                            branch: Branch | None = None,
                             tol: Tolerances = DEFAULT_TOL) -> Decomposition:
     """Even-length sequence m, n, ..., m, n realising ``u``.
 
@@ -458,20 +409,18 @@ def decompose_even_reversed(u: Su2Element, pair: AxisPair,
     angle; the factor count becomes the even minimum for the opposite axis
     order.
     """
-    chain = _even_chain(inverse(u), pair, t_params, branch, tol)
+    chain = _even_chain(inverse(u), pair, tol)
     return _finish(chain, u, pair, "even-nm", pair.m, pair.n, tol, reverse=True)
 
 
-def decompose_min(u: Su2Element, m_raw, n_raw,
-                  t_params: Sequence[float] | None = None,
-                  branch: Branch | None = None,
-                  trim: bool = False,
+def decompose_min(u: Su2Element, m_raw, n_raw, trim: bool = False,
                   tol: Tolerances = DEFAULT_TOL) -> Decomposition:
     """Optimal factor sequence for ``u`` about the caller's raw axes.
 
-    Dispatches on the parity chosen by the count formulas, then maps factor
-    labels and angle signs back from the normalized governing axes to the
-    axes as given.  With ``trim`` set, zero-angle factors at the ends are
+    Dispatches on the parity chosen by the count formulas, builds that
+    parity's one closed-form chain (each slab has a single solution), then
+    maps factor labels and angle signs back from the normalized governing
+    axes to the axes as given.  With ``trim`` set, zero-angle factors at the ends are
     elided, which may undercut the formal count.  The factors are replayed
     once (twice when the first replay lands on the other lift), and the
     analysis is returned as ``report``.
@@ -481,10 +430,10 @@ def decompose_min(u: Su2Element, m_raw, n_raw,
     governing = analysis.governing
     if parity == "odd":
         # The analysis already factored u in the governing frame.
-        chain = _odd_chain(analysis.triple, governing, t_params, branch, tol)
+        chain = _odd_chain(analysis.triple, governing, tol)
     else:
         source = inverse(u) if parity == "even-nm" else u
-        chain = _even_chain(source, governing, t_params, branch, tol)
+        chain = _even_chain(source, governing, tol)
     return _finish(chain, u, analysis.pair, parity,
                    np.asarray(m_raw, dtype=float), np.asarray(n_raw, dtype=float),
                    tol, reverse=parity == "even-nm", swapped=governing.swapped,

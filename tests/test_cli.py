@@ -239,7 +239,7 @@ class TestVerifyClaims:
         assert code == 1
         assert not out["claims_ok"]
 
-    @pytest.mark.parametrize("extra", [None, ["--trim", "--branch", "minus"]])
+    @pytest.mark.parametrize("extra", [None, ["--trim"]])
     def test_decompose_certificates_pass(self, tmp_path, capsys, extra):
         pairs = [self._pair(tmp_path, capsys, inst, extra) for inst in batch(6)]
         code, out = run_cli(tmp_path, capsys, "verify", pairs)

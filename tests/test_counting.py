@@ -24,7 +24,6 @@ from biaxial import (
     worst_case_witness,
 )
 from biaxial.counting import beta_prime_of, ceil_snapped
-from biaxial.synthesis import Branch
 from _helpers import random_axis, random_pair, random_su2
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -280,8 +279,7 @@ class TestCountMin:
             delta = rng.uniform(0.1, 0.5 * math.pi)
             beta_j = rng.uniform(1e-3, 2.0 * delta)
             t = rng.uniform(-2.0, 2.0)
-            branch = Branch.PLUS if rng.integers(2) else Branch.MINUS
-            alpha_j, gamma_j, theta_j = solve_triple(beta_j, delta, t, branch)
+            alpha_j, gamma_j, theta_j = solve_triple(beta_j, delta, t)
             assert f_angle(alpha_j, beta_j, delta) == pytest.approx(delta, abs=1e-9)
 
 

@@ -8,7 +8,6 @@ import pytest
 from biaxial import (
     AxisLabel,
     AxisPair,
-    Branch,
     Factor,
     DEFAULT_TOL,
     IDENTITY,
@@ -111,7 +110,7 @@ class TestSolveTriple:
         rhs = compose(rot(m, -alpha), compose(rot(n, theta), rot(m, -gamma)))
         assert quat_distance(lhs, rhs) < 1e-10
 
-    def test_both_branches_random(self):
+    def test_random_slabs(self):
         rng = np.random.default_rng(20)
         for _ in range(200):
             delta = rng.uniform(0.05, 0.5 * math.pi)
@@ -119,11 +118,10 @@ class TestSolveTriple:
             t = rng.uniform(-2.0, 2.0)
             pair = pair_with_delta(delta)
             l, m, n = axes_for(pair)
-            for branch in (Branch.PLUS, Branch.MINUS):
-                alpha, gamma, theta = solve_triple(beta_j, delta, t, branch)
-                lhs = rot(l, beta_j)
-                rhs = compose(rot(m, -alpha), compose(rot(n, theta), rot(m, -gamma)))
-                assert quat_distance(lhs, rhs) < 1e-12
+            alpha, gamma, theta = solve_triple(beta_j, delta, t)
+            lhs = rot(l, beta_j)
+            rhs = compose(rot(m, -alpha), compose(rot(n, theta), rot(m, -gamma)))
+            assert quat_distance(lhs, rhs) < 1e-12
 
     def test_rejects_oversized_slab(self):
         with pytest.raises(InfeasibleSlabError):
@@ -132,16 +130,16 @@ class TestSolveTriple:
 
 class TestPlanOdd:
     def test_zero_beta(self):
-        assert plan_odd(0.0, 0.7).slabs == ()
+        assert plan_odd(0.0, 0.7) == ()
 
     def test_single_slab(self):
-        assert plan_odd(math.pi, 0.5 * math.pi).slabs == (math.pi,)
+        assert plan_odd(math.pi, 0.5 * math.pi) == (math.pi,)
 
     def test_remainder_schedule(self):
-        plan = plan_odd(0.9, 0.25)
-        assert plan.slabs == pytest.approx((0.5, 0.4))
-        assert sum(plan.slabs) == pytest.approx(0.9, abs=1e-12)
-        assert all(0.0 < s <= 0.5 + 1e-12 for s in plan.slabs)
+        slabs = plan_odd(0.9, 0.25)
+        assert slabs == pytest.approx((0.5, 0.4))
+        assert sum(slabs) == pytest.approx(0.9, abs=1e-12)
+        assert all(0.0 < s <= 0.5 + 1e-12 for s in slabs)
 
 
 class TestDecomposeOdd:
@@ -315,34 +313,12 @@ class TestPlanInvariants:
             delta = pair.delta
             odd = decompose_odd(u, pair)
             beta = generalized_euler(u, pair).beta
-            assert sum(odd.plan.slabs) == pytest.approx(beta, abs=1e-9)
-            assert all(0.0 < b <= 2.0 * delta + 1e-9 for b in odd.plan.slabs)
+            assert sum(odd.slabs) == pytest.approx(beta, abs=1e-9)
+            assert all(0.0 < b <= 2.0 * delta + 1e-9 for b in odd.slabs)
             even = decompose_even(u, pair)
-            assert sum(even.plan.slabs) == pytest.approx(
+            assert sum(even.slabs) == pytest.approx(
                 even.beta_prime + delta, abs=1e-9)
-            assert all(0.0 < b <= 2.0 * delta + 1e-9 for b in even.plan.slabs)
-
-
-class TestParameterOverrides:
-    def test_custom_t_and_branch_keep_validity(self):
-        rng = np.random.default_rng(29)
-        for _ in range(50):
-            m, n = random_pair(rng, 0.3, 0.5 * math.pi)
-            pair = AxisPair.from_axes(m, n)
-            u = random_su2(rng)
-            ts = list(rng.uniform(-1.5, 1.5, 8))
-            for branch in (None, Branch.MINUS):
-                for dec_fn in (decompose_odd, decompose_even, decompose_even_reversed):
-                    base = dec_fn(u, pair)
-                    dec = dec_fn(u, pair, t_params=ts, branch=branch)
-                    assert dec.residual <= 1e-9
-                    assert dec.count == base.count
-
-    def test_decompose_min_with_overrides(self):
-        dec = decompose_min(rot(EY, math.pi), EZ, EX,
-                            t_params=[0.4], branch=Branch.MINUS)
-        assert dec.count == 2
-        assert dec.residual <= 1e-9
+            assert all(0.0 < b <= 2.0 * delta + 1e-9 for b in even.slabs)
 
 
 class TestSlabFeasibility:
@@ -355,15 +331,15 @@ class TestSlabFeasibility:
             pair = AxisPair.from_axes(m, n)
             u = random_su2(rng)
             for dec in (decompose_odd(u, pair), decompose_even(u, pair)):
-                if dec.plan is None or not dec.plan.slabs:
+                if not dec.slabs:
                     continue
                 n_angles = [f.angle for f in dec.factors if f.label is AxisLabel.N]
                 if dec.parity == "even-mn":
                     # The merged leading n-factor absorbed an extra phase.
                     n_angles = n_angles[1:]
-                    slabs = dec.plan.slabs[1:]
+                    slabs = dec.slabs[1:]
                 else:
-                    slabs = dec.plan.slabs
+                    slabs = dec.slabs
                 for slab, theta in zip(slabs, n_angles):
                     assert math.sin(pair.delta) * abs(math.sin(0.5 * theta)) == \
                         pytest.approx(abs(math.sin(0.5 * slab)), abs=1e-12)
@@ -383,7 +359,7 @@ class TestVerifyDecomposition:
         tampered = Decomposition(
             factors=tuple(factors), target=dec.target, axis_m=dec.axis_m,
             axis_n=dec.axis_n, pair=dec.pair, parity=dec.parity,
-            residual=dec.residual, plan=dec.plan, beta_prime=dec.beta_prime)
+            residual=dec.residual, slabs=dec.slabs, beta_prime=dec.beta_prime)
         report = verify_decomposition(tampered)
         assert not report.ok
         assert report.residual > 1e-3
@@ -551,7 +527,7 @@ class TestDecomposeMinPinned:
                 expected.append(Factor(label, normalize_angle(angle)))
             dec = decompose_min(u, mm, n)
             assert dec.factors == tuple(expected)
-            assert dec.plan == inner.plan
+            assert dec.slabs == inner.slabs
             assert dec.beta_prime == inner.beta_prime
             assert dec.parity == inner.parity
 
@@ -580,7 +556,7 @@ class TestDecomposeMinPinned:
         for u, m, n in pinned_cases():
             calls.clear()
             dec = decompose_min(u, m, n)
-            odd_slabs = len(dec.plan.slabs) % 2 == 1
+            odd_slabs = len(dec.slabs) % 2 == 1
             assert len(calls) == (2 if odd_slabs else 1)
             assert dec.residual <= 1e-9
             assert dec.count == count_min(u, m, n).n_min
