@@ -9,6 +9,11 @@ or stdin and write JSON to a file or stdout::
     biaxial worst-case --input axes.json      # {"m": [...], "n": [...]}
     biaxial oracle     --input inst.json [--starts N] [--seed N]
 
+``decompose`` emits the one closed-form chain of the chosen parity.
+``verify`` replays a certificate's factors and fails them (exit 1) unless
+the residual is within both the declared residual and the reconstruction
+tolerance; a certificate field of the wrong JSON type exits 2.
+
 Exit codes: 0 success, 1 verification or certificate failure, 2 parse or
 validation error or an unreadable input or unwritable output, 3 parallel
 axes, 4 reconstruction residual breach.  A batch exits with the largest
@@ -103,7 +108,8 @@ def _cmd_verify(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[i
                         pair=AxisPair.from_axes(instance.m, instance.n, tol),
                         parity=cert.parity, residual=declared)
     ver = verify_decomposition(dec, tol)
-    residual_ok = ver.residual <= declared + VERIFY_SLACK
+    # The declared residual is a claim to check, not a bound to trust.
+    residual_ok = ver.residual <= min(declared + VERIFY_SLACK, tol.recon)
     bounds_ok = (ver.nonempty and ver.alternates and geodesic_bound_check(
         ver.product, dec.pair, PatternSpec(dec.count, dec.factors[-1].label), tol).passed)
     # The certificate's own claims, read against its factor list and report

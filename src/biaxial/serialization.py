@@ -82,11 +82,37 @@ def _vector3(obj: Any, name: str) -> list[float]:
     return _numbers(obj, 3, f"{name} must be a list of 3 numbers")
 
 
-def _finite(values: list[float], name: str) -> list[float]:
+def _finite(values: list[float], name: str,
+            error: type[ValueError] = InvalidRotationError) -> list[float]:
     # NaN would pass the norm check (comparisons with NaN are false).
     if not all(math.isfinite(v) for v in values):
-        raise InvalidRotationError(f"{name} target must be finite, got {values}")
+        raise error(f"{name} must be finite, got {values}")
     return values
+
+
+# Certificate fields are read by JSON type: int(), bool() and str() would
+# truncate 2.9, read "no" as true and take any value at all.
+
+def _real(obj: Any, name: str) -> float:
+    return _finite(_numbers([obj], 1, f"{name} must be a number"), name, ValueError)[0]
+
+
+def _integer(obj: Any, name: str) -> int:
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return obj
+    raise ValueError(f"{name} must be an integer, got {obj!r}")
+
+
+def _flag(obj: Any, name: str) -> bool:
+    if isinstance(obj, bool):
+        return obj
+    raise ValueError(f"{name} must be true or false, got {obj!r}")
+
+
+def _text(obj: Any, name: str) -> str:
+    if isinstance(obj, str):
+        return obj
+    raise ValueError(f"{name} must be a string, got {obj!r}")
 
 
 def _parse_target(obj: Any, tol: Tolerances) -> tuple[Su2Element, str]:
@@ -99,7 +125,8 @@ def _parse_target(obj: Any, tol: Tolerances) -> tuple[Su2Element, str]:
     kind = keys[0]
     value = obj[kind]
     if kind == "su2":
-        comp = _finite(_numbers(value, 4, "su2 target must be [w, x, y, z]"), kind)
+        comp = _finite(_numbers(value, 4, "su2 target must be [w, x, y, z]"),
+                       "su2 target")
         norm = sum(c * c for c in comp)
         if abs(norm - 1.0) > 2.0 * tol.norm:
             raise ValueError(f"su2 target norm {norm:.12g} is not 1 within tolerance")
@@ -113,10 +140,10 @@ def _parse_target(obj: Any, tol: Tolerances) -> tuple[Su2Element, str]:
             raise ValueError('axis_angle target must be {"axis": [...], "angle": t}')
         axis = _vector3(value["axis"], "axis_angle.axis")
         angle, = _finite(_numbers([value["angle"]], 1, "axis_angle.angle must be a number"),
-                         kind)
+                         "axis_angle target")
         return rot(axis, angle, tol), kind
     triple = _finite(_numbers(value, 3, "euler_zyz target must be [alpha, beta, gamma]"),
-                     kind)
+                     "euler_zyz target")
     return from_euler_zyz(*triple, tol), kind
 
 
@@ -154,15 +181,13 @@ def _report_to_obj(report: CountReport) -> dict:
 
 
 def _report_from_obj(obj: Mapping) -> CountReport:
+    ints = {key: _integer(obj[key], f"report.{key}")
+            for key in ("n_min", "m_odd", "m_even_mn", "m_even_nm", "lowenthal")}
     return CountReport(
-        n_min=int(obj["n_min"]),
-        m_odd=int(obj["m_odd"]),
-        m_even_mn=int(obj["m_even_mn"]),
-        m_even_nm=int(obj["m_even_nm"]),
-        beta=float(obj["beta"]),
-        beta_prime=float(obj["beta_prime"]),
-        lowenthal=int(obj["lowenthal"]),
-        chosen_parity=str(obj["chosen_parity"]),
+        beta=_real(obj["beta"], "report.beta"),
+        beta_prime=_real(obj["beta_prime"], "report.beta_prime"),
+        chosen_parity=_text(obj["chosen_parity"], "report.chosen_parity"),
+        **ints,
     )
 
 
@@ -215,22 +240,26 @@ def parse_certificate(obj: Any) -> Certificate:
     if not isinstance(obj, Mapping):
         raise ValueError("certificate must be a JSON object")
     try:
-        target = Su2Element(*(float(v) for v in obj["target_su2"]))
+        target = Su2Element(*_finite(_numbers(obj["target_su2"], 4,
+                                              "target_su2 must be [w, x, y, z]"),
+                                     "target_su2", ValueError))
         factors = None
         if "factors" in obj:
+            if not isinstance(obj["factors"], list):
+                raise ValueError("factors must be a list")
             factors = tuple(
-                Factor(AxisLabel(f["axis"]), float(f["angle"]))
+                Factor(AxisLabel(f["axis"]), _real(f["angle"], "factor angle"))
                 for f in obj["factors"])
-        residual = float(obj["residual"]) if "residual" in obj else None
+        residual = _real(obj["residual"], "residual") if "residual" in obj else None
         return Certificate(
-            count=int(obj["count"]),
-            parity=str(obj["parity"]),
-            lowenthal=int(obj["lowenthal"]),
+            count=_integer(obj["count"], "count"),
+            parity=_text(obj["parity"], "parity"),
+            lowenthal=_integer(obj["lowenthal"], "lowenthal"),
             target_su2=target,
             report=_report_from_obj(obj["report"]),
-            delta=float(obj["delta"]),
-            m_flipped=bool(obj["m_flipped"]),
-            swapped=bool(obj["swapped"]),
+            delta=_real(obj["delta"], "delta"),
+            m_flipped=_flag(obj["m_flipped"], "m_flipped"),
+            swapped=_flag(obj["swapped"], "swapped"),
             factors=factors,
             residual=residual,
         )

@@ -1,19 +1,22 @@
-"""The public names each layer module lists in ``__all__``, and the
-packages the library imports.
+"""The public names each layer module lists in ``__all__``, the packages
+the library imports, and the CLI flags README documents.
 
 The benchmark's tracer calls ``getattr`` on every ``__all__`` entry of these
 modules, so a stale entry breaks every traced run, and its per-layer metrics
 count calls of the functions named below.
 """
 
+import argparse
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 import biaxial
+from biaxial.cli import build_parser
 
 MODULES = ("core", "counting", "synthesis", "oracle", "serialization")
 
@@ -54,3 +57,32 @@ def test_imports_only_stdlib_and_numpy(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
     assert sorted(imported - RUNTIME) == []
+
+
+def _readme_synopsis() -> dict[str, set[str]]:
+    """Long flags per subcommand from README's "Command line" synopsis.
+
+    The synopsis is the first code block of that section: its first line
+    names the subcommands, a line without a comment lists flags every
+    subcommand takes, and ``# name`` ends a line of flags for ``name`` only.
+    """
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    lines = section.split("```", 2)[1].strip().splitlines()
+    commands = re.search(r"biaxial (\S+)", lines[0]).group(1).split("|")
+    flags = {name: set() for name in commands}
+    for line in lines:
+        options, _, owner = line.partition("#")
+        for name in (owner.split() or commands):
+            flags[name].update(re.findall(r"--[a-z][a-z-]*", options))
+    return flags
+
+
+def test_readme_synopsis_matches_parser():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parser_flags = {
+        name: {opt for action in p._actions for opt in action.option_strings
+               if opt.startswith("--") and opt != "--help"}
+        for name, p in sub.choices.items()}
+    assert _readme_synopsis() == parser_flags

@@ -124,6 +124,17 @@ class TestDecompose:
         assert all(r["ok"] for r in results)
 
 
+class TestRemovedOptions:
+    @pytest.mark.parametrize("flags", [["--branch", "minus"], ["--t-params", "0.4"]])
+    def test_decompose_rejects(self, tmp_path, capsys, flags):
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps(WORKED))
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--input", str(inp)] + flags)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestVerify:
     def _verified_payload(self, tmp_path, capsys):
         code, cert = run_cli(tmp_path, capsys, "decompose", WORKED)
@@ -193,6 +204,35 @@ class TestVerify:
                             {"instance": inst, "certificate": cert})
         assert code == 0
         assert out["bounds_ok"]
+
+    # A certificate may not excuse a wrong chain by declaring a large residual.
+    HALF_TURN = {"m": EZ, "n": EX, "target": {"su2": [0.0, 0.0, 1.0, 0.0]}}
+
+    def _off_by_half(self, tmp_path, capsys, declared):
+        code, cert = run_cli(tmp_path, capsys, "decompose", self.HALF_TURN)
+        assert code == 0
+        cert["factors"][0]["angle"] += 0.5
+        cert["residual"] = declared
+        return {"instance": self.HALF_TURN, "certificate": cert}
+
+    def test_large_declared_residual_fails(self, tmp_path, capsys):
+        payload = self._off_by_half(tmp_path, capsys, 10.0)
+        code, out = run_cli(tmp_path, capsys, "verify", payload)
+        assert code == 1
+        assert out["residual"] > 0.2
+        assert not out["residual_ok"]
+        assert not out["ok"]
+
+    def test_infinite_declared_residual_exits_2(self, tmp_path, capsys):
+        payload = self._off_by_half(tmp_path, capsys, math.inf)
+        inp = tmp_path / "pair.json"
+        # json.dumps writes Infinity, which json.load reads back.
+        inp.write_text(json.dumps(payload))
+        code = main(["verify", "--input", str(inp)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "residual must be finite" in captured.err
 
     def test_one_replay_per_item(self, tmp_path, capsys, monkeypatch):
         items = batch(6)
@@ -353,6 +393,32 @@ class TestMalformedShapes:
         assert code == 2
         assert captured.out == ""
         assert "target must be" in captured.err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda c: c["factors"][0].update(angle=str(c["factors"][0]["angle"])),
+         "factor angle must be a number"),
+        (lambda c: c.update(count="2"), "count must be an integer"),
+        (lambda c: c.update(count=2.9), "count must be an integer"),
+        (lambda c: c.update(m_flipped="no"), "m_flipped must be true or false"),
+        (lambda c: c.update(swapped=0), "swapped must be true or false"),
+        (lambda c: c["report"].update(n_min=2.5), "report.n_min must be an integer"),
+        (lambda c: c["report"].update(n_min=True), "report.n_min must be an integer"),
+        (lambda c: c.update(residual="1e-16"), "residual must be a number"),
+        (lambda c: c.update(parity=2), "parity must be a string"),
+        (lambda c: c.update(factors={}), "factors must be a list"),
+    ], ids=["angle", "count-str", "count-float", "m_flipped", "swapped",
+            "n_min-float", "n_min-bool", "residual", "parity", "factors"])
+    def test_certificate_field_types(self, tmp_path, capsys, edit, message):
+        code, cert = run_cli(tmp_path, capsys, "decompose", WORKED)
+        assert code == 0
+        edit(cert)
+        inp = tmp_path / "pair.json"
+        inp.write_text(json.dumps({"instance": WORKED, "certificate": cert}))
+        code = main(["verify", "--input", str(inp)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
 
     @pytest.mark.parametrize("axes", [
         {"m": 5, "n": EX}, {"m": EZ, "n": 5},
