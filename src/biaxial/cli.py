@@ -12,7 +12,8 @@ or stdin and write JSON to a file or stdout::
 ``decompose`` emits the one closed-form chain of the chosen parity.
 ``verify`` replays a certificate's factors and fails them (exit 1) unless
 the residual is within both the declared residual and the reconstruction
-tolerance; a certificate field of the wrong JSON type exits 2.
+tolerance and its claims match a fresh analysis of the instance; a
+certificate field of the wrong JSON type exits 2.
 
 Exit codes: 0 success, 1 verification or certificate failure, 2 parse or
 validation error or an unreadable input or unwritable output, 3 parallel
@@ -32,6 +33,7 @@ import sys
 from typing import Any
 
 from .config import Tolerances
+from .core import quat_distance
 from .counting import AxisPair, analyze, worst_case_witness
 from .errors import AxesParallelError
 from .oracle import PatternSpec, geodesic_bound_check, minimality_certificate
@@ -51,6 +53,8 @@ EXIT_PARALLEL = 3
 EXIT_RESIDUAL = 4
 
 VERIFY_SLACK = 1e-12
+REPORT_CLAIMS = ("n_min", "m_odd", "m_even_mn", "m_even_nm", "lowenthal",
+                 "chosen_parity")
 
 
 def _read_json(path: str) -> Any:
@@ -102,21 +106,27 @@ def _cmd_verify(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[i
     cert = parse_certificate(item["certificate"])
     if cert.factors is None:
         raise ValueError("certificate has no factors to replay")
+    analysis = analyze(instance.target, instance.m, instance.n, tol)
+    report = analysis.report
     declared = cert.residual if cert.residual is not None else 0.0
     dec = Decomposition(factors=cert.factors, target=instance.target,
-                        axis_m=instance.m, axis_n=instance.n,
-                        pair=AxisPair.from_axes(instance.m, instance.n, tol),
+                        axis_m=instance.m, axis_n=instance.n, pair=analysis.pair,
                         parity=cert.parity, residual=declared)
     ver = verify_decomposition(dec, tol)
     # The declared residual is a claim to check, not a bound to trust.
     residual_ok = ver.residual <= min(declared + VERIFY_SLACK, tol.recon)
     bounds_ok = (ver.nonempty and ver.alternates and geodesic_bound_check(
         ver.product, dec.pair, PatternSpec(dec.count, dec.factors[-1].label), tol).passed)
-    # The certificate's own claims, read against its factor list and report
-    # without recomputing any count (trimming only shortens a chain).
-    claims_ok = (cert.count == dec.count <= cert.report.n_min
-                 and cert.parity == cert.report.chosen_parity
-                 and cert.lowenthal == cert.report.lowenthal)
+    # Claims against the factors and a fresh analysis (trim only shortens).
+    claims_ok = (cert.count == dec.count <= report.n_min
+                 and all(getattr(cert.report, key) == getattr(report, key)
+                         for key in REPORT_CLAIMS)
+                 and cert.parity == report.chosen_parity
+                 and cert.lowenthal == report.lowenthal
+                 and cert.swapped is analysis.governing.swapped
+                 and cert.m_flipped is analysis.pair.m_flipped
+                 and quat_distance(cert.target_su2, instance.target) <= tol.recon
+                 and abs(cert.delta - analysis.pair.delta) <= tol.angle)
     ok = residual_ok and bounds_ok and claims_ok
     out = {
         "ok": ok,

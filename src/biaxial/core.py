@@ -40,6 +40,7 @@ __all__ = [
     "from_euler_zyz",
     "generalized_euler",
     "geodesic",
+    "rotate_vector",
     "quat_distance",
     "normalize_angle",
     "unit_axis",
@@ -145,6 +146,20 @@ def quat_distance(a: Su2Element, b: Su2Element) -> float:
     """Euclidean distance between quaternion 4-vectors (sign-sensitive)."""
     return math.sqrt((a.w - b.w) ** 2 + (a.x - b.x) ** 2
                      + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
+
+
+def rotate_vector(u: Su2Element, v) -> tuple[float, float, float]:
+    """``to_so3(u) @ v`` in scalar math: ``v - w t + q x t`` with vector
+    part ``q`` and ``t = 2 q x v / |u|^2`` (``u`` acts at unit norm)."""
+    vx, vy, vz = v
+    w, x, y, z = u.w, u.x, u.y, u.z
+    s = 2.0 / (w * w + x * x + y * y + z * z)
+    tx = s * (y * vz - z * vy)
+    ty = s * (z * vx - x * vz)
+    tz = s * (x * vy - y * vx)
+    return (vx - w * tx + (y * tz - z * ty),
+            vy - w * ty + (z * tx - x * tz),
+            vz - w * tz + (x * ty - y * tx))
 
 
 def to_so3(u: Su2Element) -> np.ndarray:
@@ -285,8 +300,13 @@ def generalized_euler(u: Su2Element, pair: AxisPair,
 
 def geodesic(a, b, tol: Tolerances = DEFAULT_TOL) -> float:
     """Great-circle distance between unit vectors, in [0, pi]."""
-    ax, ay, az = unit_axis(a, tol).tolist()
-    bx, by, bz = unit_axis(b, tol).tolist()
+    return _arc(unit_axis(a, tol).tolist(), unit_axis(b, tol).tolist())
+
+
+def _arc(a, b) -> float:
+    """:func:`geodesic` of float 3-sequences known to be unit."""
+    ax, ay, az = a
+    bx, by, bz = b
     # acos(a.b) reads about 1e-8 for coincident vectors; atan2 stays exact.
     # Scalar math: np.cross on 3-vectors costs about ten times as much.
     return math.atan2(math.hypot(ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx),

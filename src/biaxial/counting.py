@@ -1,16 +1,17 @@
-"""Closed-form minimal factor counts for two-axis rotation synthesis.
+"""Minimal factor counts for two-axis rotation synthesis, from sphere distances.
 
-Given unit axes m, n with gap ``delta = atan2(|m x n|, m.n)`` normalized
-into ``(0, pi/2]``, the minimum number of alternating rotations about m and n
-realizing a target splits by parity of the factor count:
+With gap ``delta`` in ``(0, pi/2]``, ``k`` alternating factors applying axis
+``a`` first and ``c`` last (``c = a`` iff ``k`` is odd) reach a rotation
+``D`` iff ``d(D a, c)`` is 0 (``k = 1``), ``delta`` (``k = 2``) or at most
+``(k-1)*delta`` (``k >= 3``).  With ``g`` the governing axis (larger
+overlap ``b(v, u)``) and ``h`` the other, each parity's count is the least
+such ``k`` for one distance:
 
-    odd  (m first and last):  2*ceil(beta / (2*delta)) + 1
-    even (n on one end):      g(alpha, beta, delta)  or  g(gamma, -beta, delta)
+    odd: d(D g, g)    even-mn (g first): d(D g, h)    even-nm: d(D h, g)
 
-where (alpha, beta, gamma) is the generalized Euler triple of the target in
-the frame spanned by m and ``l = m x n / |m x n|``, and g is computed from
-the auxiliary angle ``f``.  The overall minimum also uses the axis with the
-larger overlap ``b(v, u)`` as the governing first axis.
+``d(D g, g)`` is the middle angle ``beta`` of the generalized Euler triple
+in the frame of ``g`` and ``l = g x h / |g x h|``, and ``d(D g, h)`` is the
+paper's auxiliary angle ``f(alpha, beta, delta)``.
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .core import (
-    EulerTriple,
-    Su2Element,
-    compose,
-    generalized_euler,
-    rot,
-    unit_axis,
-)
+from .core import Su2Element, _arc, compose, rot, rotate_vector, unit_axis
 from .errors import AxesParallelError, InvalidRotationError
 
 __all__ = [
@@ -39,7 +33,8 @@ __all__ = [
     "f_angle",
     "g_count",
     "m_odd_count",
-    "beta_prime_of",
+    "even_count",
+    "reaches_gap",
     "count_min",
     "lowenthal_bound",
     "worst_case_witness",
@@ -90,22 +85,30 @@ def f_angle(alpha: float, beta: float, delta: float) -> float:
     return 2.0 * math.acos(math.sqrt(1.0 - s2))
 
 
-def g_count(alpha: float, beta: float, delta: float,
-            tol: Tolerances = DEFAULT_TOL) -> int:
-    """Minimal even factor count for the triple (alpha, beta, gamma).
+def m_odd_count(beta: float, delta: float, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Odd count for ``beta = d(D a, a)``: ``2*ceil(beta/(2*delta)) + 1``."""
+    return 2 * ceil_snapped(beta / (2.0 * delta), tol.ceil) + 1
 
-    ``2 * ceil(f/(2*delta) + 1/2)`` when the auxiliary angle reaches the
-    axis gap, else 4 (two factors are then impossible).
-    """
-    f = f_angle(alpha, beta, delta)
-    if f >= delta - tol.angle:
-        return 2 * ceil_snapped(f / (2.0 * delta) + 0.5, tol.ceil)
+
+def reaches_gap(d: float, delta: float, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Whether an even pattern's ``d(D a, c)`` reaches the gap (else no two
+    factors reach ``D`` and the even chain's leading rotations do not merge)."""
+    return d >= delta - tol.angle
+
+
+def even_count(d: float, delta: float, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Even count for ``d = d(D a, c)``: ``2*ceil(d/(2*delta) + 1/2)``
+    when ``d`` reaches the gap, else 4."""
+    if reaches_gap(d, delta, tol):
+        return 2 * ceil_snapped(d / (2.0 * delta) + 0.5, tol.ceil)
     return 4
 
 
-def m_odd_count(beta: float, delta: float, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Minimal odd factor count: ``2*ceil(beta/(2*delta)) + 1``."""
-    return 2 * ceil_snapped(beta / (2.0 * delta), tol.ceil) + 1
+def g_count(alpha: float, beta: float, delta: float,
+            tol: Tolerances = DEFAULT_TOL) -> int:
+    """Even count for the triple (alpha, beta, gamma): :func:`even_count`
+    of the auxiliary angle."""
+    return even_count(f_angle(alpha, beta, delta), delta, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,13 +183,13 @@ class Analysis:
     """Internal result bundling the governing context with the counts."""
 
     pair: AxisPair  # caller-oriented pair (sign-normalized, not swapped)
-    governing: AxisPair  # pair actually used for the Euler triple
-    triple: EulerTriple
+    governing: AxisPair  # pair whose m is the governing axis g
     report: CountReport
+    distance: float  # the sphere distance that decides the chosen parity
 
 
 def analyze(u: Su2Element, m_raw, n_raw, tol: Tolerances = DEFAULT_TOL) -> Analysis:
-    """Pick the governing axis order, factor the target, compute all counts."""
+    """Pick the governing axis order and count from three sphere distances."""
     if not all(math.isfinite(c) for c in u.components()):
         raise InvalidRotationError(f"target must be finite, got {u.components()}")
     pair = AxisPair.from_axes(m_raw, n_raw, tol)
@@ -196,46 +199,33 @@ def analyze(u: Su2Element, m_raw, n_raw, tol: Tolerances = DEFAULT_TOL) -> Analy
     # caller's order for determinism.
     if overlap_b(pair.m, u, tol) < overlap_b(pair.n, u, tol):
         governing = pair.swap()
-    triple = generalized_euler(u, governing, tol)
-    alpha, beta, gamma = triple
+    g = governing.m.tolist()  # admitted unit axes; D keeps norms
+    h = governing.n.tolist()
+    dg = rotate_vector(u, g)
+    distances = (_arc(dg, g), _arc(dg, h), _arc(rotate_vector(u, h), g))
     delta = governing.delta
-    m_odd = m_odd_count(beta, delta, tol)
-    m_even_mn = g_count(alpha, beta, delta, tol)
-    m_even_nm = g_count(gamma, -beta, delta, tol)
-    n_min = min(m_odd, m_even_mn, m_even_nm)
-    if n_min == m_odd:
-        parity = PARITY_ODD
-    elif n_min == m_even_mn:
-        parity = PARITY_EVEN_MN
-    else:
-        parity = PARITY_EVEN_NM
+    counts = (m_odd_count(distances[0], delta, tol),
+              even_count(distances[1], delta, tol),
+              even_count(distances[2], delta, tol))
+    # Ties prefer odd, then even-mn.
+    chosen = counts.index(min(counts))
     report = CountReport(
-        n_min=n_min,
-        m_odd=m_odd,
-        m_even_mn=m_even_mn,
-        m_even_nm=m_even_nm,
-        beta=beta,
-        beta_prime=f_angle(alpha, beta, delta),
+        n_min=counts[chosen],
+        m_odd=counts[0],
+        m_even_mn=counts[1],
+        m_even_nm=counts[2],
+        beta=distances[0],
+        beta_prime=distances[1],
         lowenthal=_lowenthal_from_delta(delta, tol),
-        chosen_parity=parity,
+        chosen_parity=(PARITY_ODD, PARITY_EVEN_MN, PARITY_EVEN_NM)[chosen],
     )
-    return Analysis(pair=pair, governing=governing, triple=triple, report=report)
+    return Analysis(pair=pair, governing=governing, report=report,
+                    distance=distances[chosen])
 
 
 def count_min(u: Su2Element, m_raw, n_raw, tol: Tolerances = DEFAULT_TOL) -> CountReport:
     """Exact minimum number of rotations about m or n realizing ``u``."""
     return analyze(u, m_raw, n_raw, tol).report
-
-
-def beta_prime_of(u: Su2Element, pair: AxisPair,
-                  tol: Tolerances = DEFAULT_TOL) -> float:
-    """Middle angle of ``rot(l, -delta) * u`` in the (l, m) frame.
-
-    For ``u = rot(m, a) * rot(l, b) * rot(m, c)`` this equals
-    ``f_angle(a, b, delta)``.
-    """
-    shifted = compose(rot(pair.l, -pair.delta, tol), u, tol)
-    return generalized_euler(shifted, pair, tol).beta
 
 
 def _lowenthal_from_delta(delta: float, tol: Tolerances) -> int:

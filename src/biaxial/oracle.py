@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .counting import AxisPair
-from .core import Su2Element, geodesic, normalize_angle, to_so3
+from .core import Su2Element, geodesic, normalize_angle, rotate_vector
 from .synthesis import AxisLabel, decompose_min
 
 __all__ = [
@@ -75,27 +75,16 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class GeodesicBoundReport:
-    """Geodesic necessary conditions for one rotation and one pattern.
+    """The deciding sphere-distance bound for one rotation and one pattern.
 
-    ``d_self``/``d_cross`` measure how far the rotation moves the pattern's
-    first applied axis from itself and from the other axis; the two bounds
-    that do not apply to the pattern's parity are reported as vacuously
-    true.
+    ``distance`` is ``d(D a, a)`` for an odd pattern and ``d(D a, b)`` for
+    an even one, and ``bound`` is ``(length - 1) * delta``.
     """
 
     length: int
-    kbar: int
-    d_self: float
-    d_cross: float
-    odd_self_ok: bool
-    odd_cross_ok: bool
-    even_cross_ok: bool
-    even_self_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return (self.odd_self_ok and self.odd_cross_ok
-                and self.even_cross_ok and self.even_self_ok)
+    distance: float
+    bound: float
+    passed: bool
 
 
 @dataclass(frozen=True)
@@ -110,38 +99,25 @@ class MinimalityReport:
 
 def geodesic_bound_check(u: Su2Element, pair: AxisPair, pattern: PatternSpec,
                          tol: Tolerances = DEFAULT_TOL) -> GeodesicBoundReport:
-    """Sphere-distance bounds ``u`` meets if an alternating product of the
+    """Sphere-distance bound ``u`` meets if an alternating product of the
     pattern equals it.
 
     ``a`` is the pattern's first applied axis and ``b`` the other one, both
     read by label from the sign-normalized ``pair``; ``D`` is the rotation
-    matrix of ``u`` and ``delta`` the axis gap.  A product of odd length
-    ``2*kbar - 1`` satisfies ``d(D a, a) <= 2*(kbar-1)*delta`` and
-    ``d(D a, b) <= (2*kbar-1)*delta``; one of even length ``2*kbar``
-    satisfies ``d(D a, b) <= (2*kbar-1)*delta`` and
-    ``d(D a, a) <= 2*kbar*delta``.  A failed bound proves that no product
-    of the pattern equals ``u``; passing proves nothing.
+    of ``u`` and ``delta`` the axis gap.  A product of odd length ``k``
+    satisfies ``d(D a, a) <= (k-1)*delta`` and one of even length ``k``
+    satisfies ``d(D a, b) <= (k-1)*delta``; the other distance's bound
+    (``k*delta``) follows by the triangle inequality.  A failed bound
+    proves that no product of the pattern equals ``u``; passing proves
+    nothing.
     """
     a = pair.m if pattern.first_axis is AxisLabel.M else pair.n
     b = pair.n if pattern.first_axis is AxisLabel.M else pair.m
-    d_mat = to_so3(u)
-    d_self = geodesic(d_mat @ a, a, tol)
-    d_cross = geodesic(d_mat @ a, b, tol)
-    n = pattern.k
-    delta = pair.delta
-    if n % 2 == 1:
-        kbar = (n + 1) // 2
-        odd_self_ok = d_self <= 2.0 * (kbar - 1) * delta + BOUND_SLACK
-        odd_cross_ok = d_cross <= (2.0 * kbar - 1) * delta + BOUND_SLACK
-        even_cross_ok = even_self_ok = True
-    else:
-        kbar = n // 2
-        even_cross_ok = d_cross <= (2.0 * kbar - 1) * delta + BOUND_SLACK
-        even_self_ok = d_self <= 2.0 * kbar * delta + BOUND_SLACK
-        odd_self_ok = odd_cross_ok = True
-    return GeodesicBoundReport(length=n, kbar=kbar, d_self=d_self, d_cross=d_cross,
-                        odd_self_ok=odd_self_ok, odd_cross_ok=odd_cross_ok,
-                        even_cross_ok=even_cross_ok, even_self_ok=even_self_ok)
+    k = pattern.k
+    distance = geodesic(rotate_vector(u, a), a if k % 2 else b, tol)
+    bound = (k - 1) * pair.delta
+    return GeodesicBoundReport(length=k, distance=distance, bound=bound,
+                               passed=distance <= bound + BOUND_SLACK)
 
 
 def _qmul_cols(a, b):

@@ -10,8 +10,8 @@ encodings::
 
 A certificate records the factor sequence in product order (factors apply
 right to left), the achieved residual, the counts, and the exact quaternion
-lift of the target that was used, so it can be replayed without recomputing
-any counts.
+lift of the target that was used, so it can be replayed and its claims
+read against a fresh analysis of the instance.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The middle Euler angle of the target (or of a shifted target, for even
 factor counts) is split into slabs of at most twice the axis gap; each slab
 is realised by one m-n-m triple with angles in closed form.  Chaining the
-triples and merging adjacent same-axis rotations yields sequences whose
-length meets the closed-form minimum from :mod:`biaxial.counting`.
+triples and merging adjacent same-axis rotations yields a sequence whose
+length is the count from :mod:`biaxial.counting`'s rule, passed in.
 
 Each construction first produces the raw angles of its chain.  Reversal,
 relabelling for the caller's axes, trimming and angle reduction are then
@@ -27,10 +27,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .counting import AxisPair, CountReport, analyze, ceil_snapped
+from .counting import (AxisPair, CountReport, analyze, even_count,
+                       m_odd_count, reaches_gap)
 from .core import (
     IDENTITY,
-    EulerTriple,
     Su2Element,
     compose,
     generalized_euler,
@@ -183,31 +183,25 @@ def _slab_schedule(total: float, delta: float, k: int) -> tuple[float, ...]:
     return (full,) * (k - 1) + (remainder,)
 
 
-def plan_odd(beta: float, delta: float,
-             tol: Tolerances = DEFAULT_TOL) -> tuple[float, ...]:
-    """Slab schedule for the odd construction; empty when beta vanishes.
+def plan_odd(beta: float, delta: float, count: int) -> tuple[float, ...]:
+    """The ``(count - 1) / 2`` slabs of an odd chain, all but the last
+    ``2*delta``."""
+    return _slab_schedule(beta, delta, (count - 1) // 2)
 
-    Uses ``k = ceil(beta/(2*delta))`` slabs, all but the last equal to
-    ``2*delta``.
+
+def _plan_even(beta_prime: float, delta: float, count: int,
+               merged: bool) -> tuple[float, ...]:
+    """Slabs of ``beta_prime + delta`` for an even chain of ``count``.
+
+    A merged chain has ``count / 2`` slabs; its first, pinned to
+    ``2*delta`` and solved with free parameter pi/2, zeroes the leading
+    m-angle so the two leading n-rotations merge.  An unmerged chain is
+    the four-factor fallback: one slab.
     """
-    return _slab_schedule(beta, delta, ceil_snapped(beta / (2.0 * delta), tol.ceil))
-
-
-def _plan_even(beta_prime: float, delta: float,
-               tol: Tolerances = DEFAULT_TOL) -> tuple[tuple[float, ...], bool]:
-    """Slab schedule for ``beta_prime + delta`` plus a merge flag.
-
-    When the auxiliary angle reaches the gap, the first slab is pinned to
-    ``2*delta`` and solved with free parameter pi/2, which zeroes the leading
-    m-angle so the two leading n-rotations merge into one (2k factors total).
-    Otherwise a single unmerged slab yields the four-factor fallback.
-    """
-    if beta_prime >= delta - tol.angle:
-        k = ceil_snapped(beta_prime / (2.0 * delta) + 0.5, tol.ceil)
-        slabs = (2.0 * delta,) + _slab_schedule(
-            beta_prime + delta - 2.0 * delta, delta, k - 1)
-        return slabs, True
-    return (beta_prime + delta,), False
+    if merged:
+        return (2.0 * delta,) + _slab_schedule(
+            beta_prime + delta - 2.0 * delta, delta, count // 2 - 1)
+    return (beta_prime + delta,)
 
 
 class _Chain(NamedTuple):
@@ -243,14 +237,15 @@ def _solve_slabs(slabs: tuple[float, ...], delta: float, tol: Tolerances,
     return trips
 
 
-def _odd_chain(triple: EulerTriple, pair: AxisPair, tol: Tolerances) -> _Chain:
-    """Raw angles of the odd construction m, n, m, ..., m.
-
-    ``triple`` is the target's generalized Euler triple in the pair's frame.
-    """
+def _odd_chain(u: Su2Element, pair: AxisPair, tol: Tolerances,
+               count: int | None = None) -> _Chain:
+    """Raw angles of the odd construction m, n, m, ..., m of ``count``
+    factors (default: the odd rule on the middle Euler angle)."""
     delta = pair.delta
-    alpha, beta, gamma = triple
-    slabs = plan_odd(beta, delta, tol)
+    alpha, beta, gamma = generalized_euler(u, pair, tol)
+    if count is None:
+        count = m_odd_count(beta, delta, tol)
+    slabs = plan_odd(beta, delta, count)
     if not slabs:
         return _Chain(AxisLabel.M, [alpha + gamma], slabs, None)
     trips = _solve_slabs(slabs, delta, tol)
@@ -263,12 +258,16 @@ def _odd_chain(triple: EulerTriple, pair: AxisPair, tol: Tolerances) -> _Chain:
     return _Chain(AxisLabel.M, angles, slabs, None)
 
 
-def _even_chain(u: Su2Element, pair: AxisPair, tol: Tolerances) -> _Chain:
-    """Raw angles of the even construction n, m, ..., n, m."""
+def _even_chain(u: Su2Element, pair: AxisPair, tol: Tolerances,
+                count: int | None = None, merged: bool = False) -> _Chain:
+    """Raw angles of the even construction n, m, ..., n, m of ``count``
+    factors (default: the even rule on the shifted middle Euler angle)."""
     delta = pair.delta
     shifted = compose(rot(pair.l, -delta, tol), u, tol)
     ap, bp, gp = generalized_euler(shifted, pair, tol)
-    slabs, merged = _plan_even(bp, delta, tol)
+    if count is None:
+        count, merged = even_count(bp, delta, tol), reaches_gap(bp, delta, tol)
+    slabs = _plan_even(bp, delta, count, merged)
     trips = _solve_slabs(slabs, delta, tol, 0.5 * math.pi if merged else 0.0)
     if merged:
         angles = [ap + trips[0].theta]
@@ -383,7 +382,7 @@ def decompose_odd(u: Su2Element, pair: AxisPair,
     Length is ``2*ceil(beta/(2*delta)) + 1``; a vanishing middle angle gives
     the single bare m-rotation.
     """
-    chain = _odd_chain(generalized_euler(u, pair, tol), pair, tol)
+    chain = _odd_chain(u, pair, tol)
     return _finish(chain, u, pair, "odd", pair.m, pair.n, tol)
 
 
@@ -417,28 +416,28 @@ def decompose_min(u: Su2Element, m_raw, n_raw, trim: bool = False,
                   tol: Tolerances = DEFAULT_TOL) -> Decomposition:
     """Optimal factor sequence for ``u`` about the caller's raw axes.
 
-    Dispatches on the parity chosen by the count formulas, builds that
-    parity's one closed-form chain (each slab has a single solution), then
-    maps factor labels and angle signs back from the normalized governing
-    axes to the axes as given.  With ``trim`` set, zero-angle factors at the ends are
-    elided, which may undercut the formal count.  The factors are replayed
+    Builds the analysed parity's one closed-form chain of the analysed
+    count (each slab has a single solution), then maps factor labels and
+    angle signs back from the normalized governing axes to the axes as
+    given.  With ``trim`` set, zero-angle factors at the ends are elided,
+    which may undercut the formal count.  The factors are replayed
     once (twice when the first replay lands on the other lift), and the
     analysis is returned as ``report``.
     """
     analysis = analyze(u, m_raw, n_raw, tol)
-    parity = analysis.report.chosen_parity
+    report = analysis.report
+    parity = report.chosen_parity
     governing = analysis.governing
     if parity == "odd":
-        # The analysis already factored u in the governing frame.
-        chain = _odd_chain(analysis.triple, governing, tol)
+        chain = _odd_chain(u, governing, tol, report.n_min)
     else:
         source = inverse(u) if parity == "even-nm" else u
-        chain = _even_chain(source, governing, tol)
+        chain = _even_chain(source, governing, tol, report.n_min,
+                            reaches_gap(analysis.distance, governing.delta, tol))
     return _finish(chain, u, analysis.pair, parity,
                    np.asarray(m_raw, dtype=float), np.asarray(n_raw, dtype=float),
                    tol, reverse=parity == "even-nm", swapped=governing.swapped,
-                   m_flipped=analysis.pair.m_flipped, trim=trim,
-                   report=analysis.report)
+                   m_flipped=analysis.pair.m_flipped, trim=trim, report=report)
 
 
 def verify_decomposition(d: Decomposition, tol: Tolerances = DEFAULT_TOL) -> VerificationReport:

@@ -16,10 +16,15 @@ import biaxial.counting
 import biaxial.oracle
 import biaxial.synthesis
 from biaxial import (
+    DEFAULT_TOL,
+    AxisPair,
     PatternSpec,
     Su2Element,
     f_angle,
+    g_count,
+    generalized_euler,
     geodesic_bound_check,
+    m_odd_count,
     overlap_b,
     verify_decomposition,
 )
@@ -92,6 +97,28 @@ def random_pair(rng: np.random.Generator, delta_lo: float,
     return m, n / np.linalg.norm(n)
 
 
+def euler_route_counts(u: Su2Element, m, n, tol=DEFAULT_TOL):
+    """Reference count through the generalized Euler triple.
+
+    The governing axis is the one with the larger overlap (ties keep the
+    caller's order); the counts are the paper's closed forms
+    ``m_odd_count(beta)``, ``g_count(alpha, beta)`` and
+    ``g_count(gamma, -beta)`` of the triple in that pair's frame.  Returns
+    ``(n_min, m_odd, m_even_mn, m_even_nm, chosen_parity, swapped)``.
+    """
+    pair = AxisPair.from_axes(m, n, tol)
+    governing = pair
+    if overlap_b(pair.m, u, tol) < overlap_b(pair.n, u, tol):
+        governing = pair.swap()
+    alpha, beta, gamma = generalized_euler(u, governing, tol)
+    delta = governing.delta
+    counts = (m_odd_count(beta, delta, tol), g_count(alpha, beta, delta, tol),
+              g_count(gamma, -beta, delta, tol))
+    chosen = counts.index(min(counts))
+    parity = ("odd", "even-mn", "even-nm")[chosen]
+    return (counts[chosen], *counts, parity, governing.swapped)
+
+
 def _frac_distance(x: float) -> float:
     return abs(x - round(x))
 
@@ -104,7 +131,7 @@ def boundary_margin(u: Su2Element, m, n) -> float:
     resample when this margin is small.
     """
     result = analyze(u, m, n)
-    alpha, beta, gamma = result.triple
+    alpha, beta, gamma = generalized_euler(u, result.governing)
     delta = result.governing.delta
     f_mn = f_angle(alpha, beta, delta)
     f_nm = f_angle(gamma, -beta, delta)
@@ -133,8 +160,6 @@ def random_instance(rng: np.random.Generator, delta_lo: float = 0.3,
 
 def pair_frame_margin(u: Su2Element, pair) -> float:
     """Branch-boundary margin for the pair's own frame (no governing swap)."""
-    from biaxial import generalized_euler
-
     alpha, beta, gamma = generalized_euler(u, pair)
     delta = pair.delta
     f_mn = f_angle(alpha, beta, delta)

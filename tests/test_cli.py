@@ -249,7 +249,7 @@ class TestVerify:
 
 class TestVerifyClaims:
     """``verify`` reads a certificate's count, parity and report against its
-    factor list, without recomputing any count."""
+    factor list and a fresh analysis of the instance."""
 
     def _pair(self, tmp_path, capsys, inst, extra=None):
         code, cert = run_cli(tmp_path, capsys, "decompose", inst, extra)
@@ -277,6 +277,42 @@ class TestVerifyClaims:
         edit(payload["certificate"])
         code, out = run_cli(tmp_path, capsys, "verify", payload)
         assert code == 1
+        assert not out["claims_ok"]
+
+    def test_padded_certificate_fails(self, tmp_path, capsys):
+        # Two zero-angle factors keep the product; the claimed count of 4
+        # matches the edited report but not the instance's minimum of 2.
+        inst = {"m": EZ, "n": EX, "target": {"su2": [0.5, 0.5, 0.5, 0.5]}}
+        payload = self._pair(tmp_path, capsys, inst)
+        cert = payload["certificate"]
+        assert cert["count"] == 2
+        cert["factors"] += [{"axis": "n", "angle": 0.0}, {"axis": "m", "angle": 0.0}]
+        cert["count"] = cert["report"]["n_min"] = cert["report"]["m_even_mn"] = 4
+        code, out = run_cli(tmp_path, capsys, "verify", payload)
+        assert code == 1
+        assert out["residual_ok"] and out["bounds_ok"]
+        assert not out["claims_ok"]
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.update(target_su2=[1.0, 0.0, 0.0, 0.0]),
+        lambda c: c.update(target_su2=[-v for v in c["target_su2"]]),
+        lambda c: c.update(delta=0.1),
+        lambda c: c.update(swapped=not c["swapped"]),
+        lambda c: c.update(m_flipped=not c["m_flipped"]),
+        lambda c: (c.update(lowenthal=9), c["report"].update(lowenthal=9)),
+        lambda c: c["report"].update(m_odd=5),
+        lambda c: c["report"].update(m_even_nm=6),
+        lambda c: (c.update(parity="even-nm"),
+                   c["report"].update(chosen_parity="even-nm")),
+    ], ids=["target", "other-lift", "delta", "swapped", "m_flipped", "lowenthal",
+            "m_odd", "m_even_nm", "chosen_parity"])
+    def test_claim_against_the_instance_fails(self, tmp_path, capsys, edit):
+        inst = {"m": EZ, "n": EX, "target": {"su2": [0.0, 0.0, 1.0, 0.0]}}
+        payload = self._pair(tmp_path, capsys, inst)
+        edit(payload["certificate"])
+        code, out = run_cli(tmp_path, capsys, "verify", payload)
+        assert code == 1
+        assert out["residual_ok"]
         assert not out["claims_ok"]
 
     @pytest.mark.parametrize("extra", [None, ["--trim"]])

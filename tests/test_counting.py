@@ -23,8 +23,13 @@ from biaxial import (
     solve_triple,
     worst_case_witness,
 )
-from biaxial.counting import beta_prime_of, ceil_snapped
-from _helpers import random_axis, random_pair, random_su2
+import biaxial.core
+import biaxial.counting
+import biaxial.synthesis
+from biaxial.core import geodesic, rotate_vector, to_so3
+from biaxial.counting import analyze, ceil_snapped
+from biaxial.synthesis import decompose_min
+from _helpers import euler_route_counts, random_axis, random_pair, random_su2
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -165,6 +170,11 @@ class TestAxisPair:
                     assert abs(float(np.linalg.norm(p.l)) - 1.0) <= 4.0 * eps
 
 
+def beta_prime_of(u, pair):
+    """The even-mn distance ``d(D m, n)``, as the analysis computes it."""
+    return geodesic(rotate_vector(u, pair.m), pair.n)
+
+
 class TestBetaPrime:
     def test_gap_rotation_cancels(self):
         pair = pair_with_delta(0.8)
@@ -281,6 +291,103 @@ class TestCountMin:
             t = rng.uniform(-2.0, 2.0)
             alpha_j, gamma_j, theta_j = solve_triple(beta_j, delta, t)
             assert f_angle(alpha_j, beta_j, delta) == pytest.approx(delta, abs=1e-9)
+
+
+class TestRotateVector:
+    def test_equals_the_rotation_matrix(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            u = random_su2(rng)
+            v = rng.normal(size=3)
+            assert np.allclose(rotate_vector(u, v), to_so3(u) @ v,
+                               rtol=0.0, atol=1e-15 * np.linalg.norm(v) * 4)
+
+    def test_rotation_about_the_vector_fixes_it(self):
+        assert rotate_vector(rot(EZ, 1.2), EZ) == pytest.approx(EZ, abs=1e-16)
+        assert rotate_vector(rot(EZ, 0.5 * math.pi), EX) == pytest.approx(
+            EY, abs=1e-15)
+
+
+def boundary_cases(rng, gap):
+    """(u, m, n) at one gap: canonical and random axes with m of both signs,
+    and targets on or near count boundaries."""
+    cases = []
+    for draw in range(8):
+        if draw % 2:
+            m, n = random_pair(rng, gap, gap)
+        else:
+            m, n = EZ, math.sin(gap) * EX + math.cos(gap) * EZ
+        m = m if draw % 4 < 2 else -m
+        pair = AxisPair.from_axes(m, n)
+        delta, l, g = pair.delta, pair.l, pair.m
+        steps = int(math.pi / delta)
+        theta = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=4)
+        j = int(rng.integers(0, steps + 1))
+        k = int(rng.integers(0, steps + 1))
+        targets = [
+            random_su2(rng),
+            rot(m, theta[0]),
+            rot(n, theta[1]),
+            compose(rot(n, theta[2]), rot(m, theta[3])),
+            compose(rot(m, theta[2]), rot(n, theta[3])),
+            worst_case_witness(pair),
+            rot(l, k * delta),
+            # m-l-m triples whose middle angle sits on a count boundary.
+            compose(rot(g, theta[0]), rot(l, j * delta)),
+            compose(rot(l, j * delta), rot(g, theta[1])),
+            compose(rot(g, theta[2]), compose(rot(l, 2 * (j // 2) * delta),
+                                             rot(g, theta[3]))),
+        ]
+        cases.extend((u, m, n) for u in targets)
+    return cases
+
+
+class TestSphereDistanceCounts:
+    """The count path reads three sphere distances, never the Euler triple."""
+
+    def test_count_min_runs_no_euler_factoring(self, monkeypatch):
+        calls = []
+        factor = biaxial.core.generalized_euler
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return factor(*args, **kwargs)
+
+        for module in (biaxial.core, biaxial.counting, biaxial.synthesis):
+            if hasattr(module, "generalized_euler"):
+                monkeypatch.setattr(module, "generalized_euler", counted)
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            m, n = random_pair(rng, 0.2, 0.5 * math.pi)
+            count_min(random_su2(rng), m, n)
+        assert calls == []
+
+    def test_gap_rotation_at_gap_1e_4(self):
+        # d(D m, n) is 31413 gaps exactly; the auxiliary angle read from the
+        # Euler triple is 6e-13 above it, outside the ceiling's snap window.
+        m = EZ
+        n = np.array([math.sin(1e-4), 0.0, math.cos(1e-4)])
+        pair = AxisPair.from_axes(m, n)
+        u = rot(pair.l, 31414 * pair.delta)
+        report = count_min(u, m, n)
+        assert (report.n_min, report.chosen_parity) == (31414, "even-mn")
+        dec = decompose_min(u, m, n)
+        assert dec.count == 31414
+        assert dec.residual <= 1e-9
+
+    @pytest.mark.parametrize("gap", [0.5 * math.pi, 1.0, 0.3, 0.05, 1e-2, 1e-3,
+                                     2.5, math.pi - 1e-3])
+    def test_equals_the_euler_route_on_boundaries(self, gap):
+        rng = np.random.default_rng(14)
+        for u, m, n in boundary_cases(rng, gap):
+            analysis = analyze(u, m, n)
+            report = analysis.report
+            got = (report.n_min, report.m_odd, report.m_even_mn, report.m_even_nm,
+                   report.chosen_parity, analysis.governing.swapped)
+            assert got == euler_route_counts(u, m, n), (u, m, n)
+            dec = decompose_min(u, m, n)
+            assert dec.count == report.n_min
+            assert dec.residual <= 1e-9
 
 
 class TestLowenthal:

@@ -44,15 +44,15 @@ class TestGeodesicBounds:
     def test_single_factor_bound_is_tight_at_zero(self):
         pair = AxisPair.from_axes(EZ, EX)
         report = geodesic_bound_check(rot(EZ, 1.3), pair, PatternSpec(1, AxisLabel.M))
-        assert report.kbar == 1
-        assert report.d_self == pytest.approx(0.0, abs=1e-12)
+        assert report.bound == 0.0
+        assert report.distance == pytest.approx(0.0, abs=1e-12)
         assert report.passed
 
     def test_two_factor_bound(self):
         pair = AxisPair.from_axes(EZ, EX)
         u = compose(rot(EX, math.pi), rot(EZ, -math.pi))
         report = geodesic_bound_check(u, pair, PatternSpec(2, AxisLabel.M))
-        assert report.d_cross <= 0.5 * math.pi + 1e-9
+        assert report.distance <= 0.5 * math.pi + 1e-9
         assert report.passed
 
     def test_target_fails_a_pattern_that_cannot_reach_it(self):
@@ -60,8 +60,7 @@ class TestGeodesicBounds:
         pair = AxisPair.from_axes(EZ, EX)
         u = rot(pair.n, 1.0)
         report = geodesic_bound_check(u, pair, PatternSpec(1, AxisLabel.M))
-        assert report.d_self == pytest.approx(1.0, abs=1e-12)
-        assert not report.odd_self_ok
+        assert report.distance == pytest.approx(1.0, abs=1e-12)
         assert not report.passed
         assert geodesic_bound_check(u, pair, PatternSpec(1, AxisLabel.N)).passed
 

@@ -39,7 +39,6 @@ from biaxial.synthesis import (
     h_param,
     plan_odd,
 )
-import biaxial.counting
 import biaxial.synthesis as synthesis
 from biaxial.counting import analyze
 from _helpers import count_replay_calls, random_axis, random_pair, random_su2
@@ -130,13 +129,13 @@ class TestSolveTriple:
 
 class TestPlanOdd:
     def test_zero_beta(self):
-        assert plan_odd(0.0, 0.7) == ()
+        assert plan_odd(0.0, 0.7, 1) == ()
 
     def test_single_slab(self):
-        assert plan_odd(math.pi, 0.5 * math.pi) == (math.pi,)
+        assert plan_odd(math.pi, 0.5 * math.pi, 3) == (math.pi,)
 
     def test_remainder_schedule(self):
-        slabs = plan_odd(0.9, 0.25)
+        slabs = plan_odd(0.9, 0.25, 5)
         assert slabs == pytest.approx((0.5, 0.4))
         assert sum(slabs) == pytest.approx(0.9, abs=1e-12)
         assert all(0.0 < s <= 0.5 + 1e-12 for s in slabs)
@@ -587,9 +586,9 @@ class TestDecomposeMinReport:
 
 
 class TestDecomposeMinEulerCalls:
-    def test_odd_reuses_the_analysis_triple(self, monkeypatch):
-        # The analysis factors u in the governing frame; the odd chain reads
-        # that triple, and only the even chains factor a shifted target.
+    def test_one_euler_factoring_per_call(self, monkeypatch):
+        # The analysis counts from sphere distances; only the chain factors
+        # its target (the odd chain u, the even chains a shifted target).
         calls = []
         factor = synthesis.generalized_euler
 
@@ -597,14 +596,13 @@ class TestDecomposeMinEulerCalls:
             calls.append(1)
             return factor(*args, **kwargs)
 
-        for module in (biaxial.counting, synthesis):
-            monkeypatch.setattr(module, "generalized_euler", counted)
+        monkeypatch.setattr(synthesis, "generalized_euler", counted)
         seen = set()
         for u, m, n in pinned_cases():
             for mm in (m, -m):
                 calls.clear()
                 dec = decompose_min(u, mm, n)
-                assert len(calls) == (1 if dec.parity == "odd" else 2)
+                assert len(calls) == 1
                 seen.add(dec.parity)
         assert seen == {"odd", "even-mn", "even-nm"}
 
