@@ -70,19 +70,24 @@ def overlap_b(v, u: Su2Element, tol: Tolerances = DEFAULT_TOL) -> float:
 def f_angle(alpha: float, beta: float, delta: float) -> float:
     """Auxiliary angle in [0, pi] controlling the even-parity count.
 
-    ``f/2`` has ``cos(f/2)^2 = cos(b/2)^2 cos(d/2)^2 + sin(b/2)^2 sin(d/2)^2
-    + 2 cos(a) sin(b/2) sin(d/2) cos(b/2) cos(d/2)``; the complementary form
-    ``sin(f/2)^2 = sin((b-d)/2)^2 + sin(a/2)^2 sin(b) sin(d)`` is used below
-    the halfway point so that small values stay fully accurate.  Satisfies
+    ``f/2`` has ``sin(f/2)^2 = sin((b-d)/2)^2 + sin(a/2)^2 sin(b) sin(d)``
+    and ``cos(f/2)^2 = cos((b+d)/2)^2 + cos(a/2)^2 sin(b) sin(d)``.  When
+    ``sin(b) sin(d)`` is negative the same two values are
+    ``sin((b+d)/2)^2 + cos(a/2)^2 |sin(b) sin(d)|`` and
+    ``cos((b-d)/2)^2 + sin(a/2)^2 |sin(b) sin(d)|``.  Either way both are
+    sums of non-negative terms, and ``f`` is read from the two with
+    ``atan2``, so it keeps its digits near 0 and near pi alike.  Satisfies
     ``f(0, beta, delta) = |beta - delta|`` and ``f(alpha, 0, delta) = delta``.
     """
-    half_diff = math.sin(0.5 * (beta - delta))
-    half_alpha = math.sin(0.5 * alpha)
-    s2 = half_diff * half_diff + half_alpha * half_alpha * math.sin(beta) * math.sin(delta)
-    s2 = min(1.0, max(0.0, s2))
-    if s2 <= 0.5:
-        return 2.0 * math.asin(math.sqrt(s2))
-    return 2.0 * math.acos(math.sqrt(1.0 - s2))
+    p = math.sin(beta) * math.sin(delta)
+    lo, hi = 0.5 * (beta - delta), 0.5 * (beta + delta)
+    sin_a, cos_a = math.sin(0.5 * alpha), math.cos(0.5 * alpha)
+    if p < 0.0:
+        lo, hi, sin_a, cos_a, p = hi, lo, cos_a, sin_a, -p
+    sin_lo, cos_hi = math.sin(lo), math.cos(hi)
+    s2 = sin_lo * sin_lo + sin_a * sin_a * p
+    c2 = cos_hi * cos_hi + cos_a * cos_a * p
+    return 2.0 * math.atan2(math.sqrt(s2), math.sqrt(c2))
 
 
 def m_odd_count(beta: float, delta: float, tol: Tolerances = DEFAULT_TOL) -> int:

@@ -6,12 +6,16 @@ is realised by one m-n-m triple with angles in closed form.  Chaining the
 triples and merging adjacent same-axis rotations yields a sequence whose
 length is the count from :mod:`biaxial.counting`'s rule, passed in.
 
-Each construction first produces the raw angles of its chain.  Reversal,
-relabelling for the caller's axes, trimming and angle reduction are then
-applied to those angles, and the final list is replayed once (twice only
-when the first product lands on the other lift of the target), so one
-``decompose_min`` call costs one pass over a chain of about ``pi/delta``
-factors.
+Every slab but the first and the last is a full ``2*delta``, so a chain is
+built run-length encoded: a head, one two-angle block repeated, and a
+tail, from at most three slab solutions.  Reversal, relabelling for the
+caller's axes, trimming and angle reduction are applied to those few
+distinct angles; the factor tuple is then spelled out with one shared
+``Factor`` per block angle and replayed once (twice only when the first
+product lands on the other lift of the target).  The replay stays the
+sequential fold, but computes each distinct factor's rotation once, so one
+``decompose_min`` call costs one multiply per factor of a chain of about
+``pi/delta`` factors and no other per-factor work but building the tuple.
 
 Factor lists are stored in product order: ``factors[0]`` is the leftmost
 factor, i.e. the last one applied.
@@ -20,8 +24,10 @@ factor, i.e. the last one applied.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
+from operator import is_not
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -205,80 +211,113 @@ def _plan_even(beta_prime: float, delta: float, count: int,
 
 
 class _Chain(NamedTuple):
-    """Raw angles of one construction in the governing frame.
+    """Raw angles of one construction in the governing frame, run-length
+    encoded.
 
-    Labels alternate starting with ``first``; angles are not yet reduced
-    into the reporting interval.
+    ``angles[at:at + 2]`` is a block that the full chain repeats ``extra``
+    more times in place; with ``extra == 0`` the chain is ``angles`` as it
+    stands.  Labels alternate starting with ``first``; since the block has
+    two angles, every angle's label is the one it has in ``angles``.  The
+    block never starts the list, so :func:`_finish`'s lift flip changes the
+    first angle alone.  Angles are not yet reduced into the reporting
+    interval.
     """
 
     first: AxisLabel
-    angles: list[float]
+    angles: tuple[float, ...]
+    at: int
+    extra: int
     slabs: tuple[float, ...]
     beta_prime: float | None
 
 
-def _solve_slabs(slabs: tuple[float, ...], delta: float, tol: Tolerances,
-                 first_t: float = 0.0) -> list[TripleSolution]:
-    """Triples for every slab, solving each distinct ``(slab, t)`` once.
+def _blocked(head: tuple[float, ...], block: tuple[float, float], reps: int,
+             tail: tuple[float, ...]) -> tuple[tuple[float, ...], int, int]:
+    """``(angles, at, extra)`` of the chain ``head + block * reps + tail``."""
+    if reps == 0:
+        return head + tail, 0, 0
+    return head + block + tail, len(head), reps - 1
 
-    The free parameter ``t`` is ``first_t`` on the first slab and 0 on the
-    rest.  All full slabs after the first share one key and
-    :func:`solve_triple` is pure, so a chain of any length needs at most a
-    few solves.
-    """
-    solved: dict[tuple[float, float], TripleSolution] = {}
-    trips = []
-    for j, slab in enumerate(slabs):
-        key = (slab, first_t if j == 0 else 0.0)
-        trip = solved.get(key)
-        if trip is None:
-            trip = solved[key] = solve_triple(slab, delta, key[1], tol)
-        trips.append(trip)
-    return trips
+
+def _solve_run(slabs: tuple[float, ...], delta: float, tol: Tolerances,
+               start: int) -> tuple[TripleSolution, TripleSolution]:
+    """Triples of ``slabs[start]`` (the run of full slabs) and of the last
+    slab, both with free parameter 0; a last slab equal to the run's is
+    solved once."""
+    last = solve_triple(slabs[-1], delta, 0.0, tol)
+    if slabs[start] == slabs[-1]:
+        return last, last
+    return solve_triple(slabs[start], delta, 0.0, tol), last
 
 
 def _odd_chain(u: Su2Element, pair: AxisPair, tol: Tolerances,
                count: int | None = None) -> _Chain:
     """Raw angles of the odd construction m, n, m, ..., m of ``count``
-    factors (default: the odd rule on the middle Euler angle)."""
+    factors (default: the odd rule on the middle Euler angle).
+
+    Every slab but the last is full, so the chain is one full-slab triple
+    repeated, joined to the last slab's: three angles per slab, with the
+    m-angles between two slabs merged.
+    """
     delta = pair.delta
     alpha, beta, gamma = generalized_euler(u, pair, tol)
     if count is None:
         count = m_odd_count(beta, delta, tol)
     slabs = plan_odd(beta, delta, count)
     if not slabs:
-        return _Chain(AxisLabel.M, [alpha + gamma], slabs, None)
-    trips = _solve_slabs(slabs, delta, tol)
-    angles = [alpha - trips[0].alpha]
-    for trip, nxt in zip(trips, trips[1:]):
-        angles.append(trip.theta)
-        angles.append(-trip.gamma - nxt.alpha)
-    angles.append(trips[-1].theta)
-    angles.append(-trips[-1].gamma + gamma)
-    return _Chain(AxisLabel.M, angles, slabs, None)
+        return _Chain(AxisLabel.M, (alpha + gamma,), 0, 0, slabs, None)
+    full, last = _solve_run(slabs, delta, tol, 0)
+    if len(slabs) == 1:
+        angles = (alpha - last.alpha, last.theta, -last.gamma + gamma)
+        return _Chain(AxisLabel.M, angles, 0, 0, slabs, None)
+    angles, at, extra = _blocked(
+        (alpha - full.alpha,), (full.theta, -full.gamma - full.alpha), len(slabs) - 2,
+        (full.theta, -full.gamma - last.alpha, last.theta, -last.gamma + gamma))
+    return _Chain(AxisLabel.M, angles, at, extra, slabs, None)
 
 
 def _even_chain(u: Su2Element, pair: AxisPair, tol: Tolerances,
                 count: int | None = None, merged: bool = False) -> _Chain:
     """Raw angles of the even construction n, m, ..., n, m of ``count``
-    factors (default: the even rule on the shifted middle Euler angle)."""
+    factors (default: the even rule on the shifted middle Euler angle).
+
+    A merged chain is the pinned first slab's triple, then a run of full
+    slabs and the last slab, as in :func:`_odd_chain`.
+    """
     delta = pair.delta
     shifted = compose(rot(pair.l, -delta, tol), u, tol)
     ap, bp, gp = generalized_euler(shifted, pair, tol)
     if count is None:
         count, merged = even_count(bp, delta, tol), reaches_gap(bp, delta, tol)
     slabs = _plan_even(bp, delta, count, merged)
-    trips = _solve_slabs(slabs, delta, tol, 0.5 * math.pi if merged else 0.0)
-    if merged:
-        angles = [ap + trips[0].theta]
-        for prev, trip in zip(trips, trips[1:]):
-            angles.append(-prev.gamma - trip.alpha)
-            angles.append(trip.theta)
-        angles.append(-trips[-1].gamma + gp)
-    else:
-        trip = trips[0]
-        angles = [ap, -trip.alpha, trip.theta, -trip.gamma + gp]
-    return _Chain(AxisLabel.N, angles, slabs, bp)
+    if not merged:
+        trip = solve_triple(slabs[0], delta, 0.0, tol)
+        angles = (ap, -trip.alpha, trip.theta, -trip.gamma + gp)
+        return _Chain(AxisLabel.N, angles, 0, 0, slabs, bp)
+    pinned = solve_triple(slabs[0], delta, 0.5 * math.pi, tol)
+    if len(slabs) == 1:
+        angles = (ap + pinned.theta, -pinned.gamma + gp)
+        return _Chain(AxisLabel.N, angles, 0, 0, slabs, bp)
+    full, last = _solve_run(slabs, delta, tol, 1)
+    if len(slabs) == 2:
+        angles = (ap + pinned.theta, -pinned.gamma - last.alpha, last.theta,
+                  -last.gamma + gp)
+        return _Chain(AxisLabel.N, angles, 0, 0, slabs, bp)
+    angles, at, extra = _blocked(
+        (ap + pinned.theta, -pinned.gamma - full.alpha, full.theta),
+        (-full.gamma - full.alpha, full.theta), len(slabs) - 3,
+        (-full.gamma - last.alpha, last.theta, -last.gamma + gp))
+    return _Chain(AxisLabel.N, angles, at, extra, slabs, bp)
+
+
+def _zero_ends(angles: list[float], tol: Tolerances) -> tuple[int, int]:
+    """``(lo, hi)`` such that ``angles[lo:hi]`` drops the zero-angle ends."""
+    lo, hi = 0, len(angles)
+    while lo < hi and abs(angles[lo]) <= tol.angle:
+        lo += 1
+    while hi > lo and abs(angles[hi - 1]) <= tol.angle:
+        hi -= 1
+    return lo, hi
 
 
 def _finish(chain: _Chain, u: Su2Element, pair: AxisPair, parity: str,
@@ -293,14 +332,17 @@ def _finish(chain: _Chain, u: Su2Element, pair: AxisPair, parity: str,
     angle (a chain for ``inverse(u)`` becomes one for ``u``); with
     ``swapped``, exchange the labels; with ``m_flipped``, negate the
     m-angles (a rotation about -m by theta is one about m by -theta); with
-    ``trim``, drop zero-angle ends; reduce again.  The result is replayed
-    once about ``axis_m`` and ``axis_n``.  Only if the product lands on the
-    other lift of ``u`` does the chain's first factor gain 2*pi, which flips
-    the product's sign exactly, and the transforms and the replay run again.
+    ``trim``, drop zero-angle ends; reduce again.  The transforms act on the
+    chain's distinct angles only (a repeated block is transformed once), and
+    the factors are then spelled out with one shared ``Factor`` per block
+    angle.  The result is replayed once about ``axis_m`` and ``axis_n``.
+    Only if the product lands on the other lift of ``u`` does the chain's
+    first factor gain 2*pi, which flips the product's sign exactly, and the
+    transforms and the replay run again.
     """
     reduced = [normalize_angle(a) for a in chain.angles]
     for lift_flip in (False, True):
-        angles = list(reduced)
+        angles, at, extra = list(reduced), chain.at, chain.extra
         if lift_flip:
             angles[0] = normalize_angle(angles[0] + 2.0 * math.pi)
         first = chain.first
@@ -308,23 +350,28 @@ def _finish(chain: _Chain, u: Su2Element, pair: AxisPair, parity: str,
             if len(angles) % 2 == 0:
                 first = first.other
             angles = [-a for a in reversed(angles)]
+            at = len(angles) - at - 2
         if swapped:
             first = first.other
         if m_flipped:
             start = 0 if first is AxisLabel.M else 1
             angles[start::2] = [-a for a in angles[start::2]]
         if trim:
-            lo, hi = 0, len(angles)
-            while lo < hi and abs(angles[lo]) <= tol.angle:
-                lo += 1
-            while hi > lo and abs(angles[hi - 1]) <= tol.angle:
-                hi -= 1
+            lo, hi = _zero_ends(angles, tol)
+            if extra and (lo > at or hi < at + 2):
+                # The zero ends reach into the block: trim the full chain.
+                angles = angles[:at] + angles[at:at + 2] * (extra + 1) + angles[at + 2:]
+                extra = 0
+                lo, hi = _zero_ends(angles, tol)
             if lo % 2:
                 first = first.other
             angles = angles[lo:hi]
+            at -= lo
         labels = (first, first.other)
         factors = tuple([Factor(labels[i & 1], normalize_angle(a))
                          for i, a in enumerate(angles)])
+        if extra:
+            factors = factors[:at] + factors[at:at + 2] * (extra + 1) + factors[at + 2:]
         prod = replay_factors(factors, axis_m, axis_n, tol)
         residual = quat_distance(prod, u)
         if lift_flip or not quat_distance(negate(prod), u) < residual:
@@ -342,28 +389,31 @@ def replay_factors(factors: Sequence[Factor], axis_m, axis_n,
 
     Bit-identical to the left fold ``acc = compose(acc, rot(axis, f.angle,
     tol), tol)`` from ``IDENTITY``: the same arithmetic in the same order,
-    with the same renormalisation rule, inlined on Python floats.  Each axis
-    is validated by ``unit_axis`` once, on its first use, so an axis that no
-    factor uses is never checked.
+    with the same renormalisation rule, inlined on Python floats.  The last
+    factor met at even and at odd positions keeps its rotation, and a factor
+    that is the same object reuses it, so a chain that repeats a shared
+    two-factor block computes each distinct factor's rotation once.  Each
+    axis is validated by ``unit_axis`` once, on its first use, so an axis
+    that no factor uses is never checked.
     """
     renorm = 0.5 * tol.norm
-    m_axis = n_axis = None
+    axes: list = [None, None]
+    f_even = f_odd = r_even = r_odd = None
+    at_odd = False
     w, x, y, z = IDENTITY.components()
     for f in factors:
-        if f.label is AxisLabel.M:
-            if m_axis is None:
-                m_axis = unit_axis(axis_m, tol).tolist()
-            vx, vy, vz = m_axis
+        if at_odd:
+            if f is not f_odd:
+                f_odd, r_odd = f, _rotation(f, axes, axis_m, axis_n, tol)
+            c, bx, by, bz = r_odd
         else:
-            if n_axis is None:
-                n_axis = unit_axis(axis_n, tol).tolist()
-            vx, vy, vz = n_axis
-        # core.rot, then core.compose(acc, rot) inlined: keep both in step
-        # with core, operation for operation, or the products stop being
-        # bit-identical to the fold.
-        half = 0.5 * f.angle
-        c, s = math.cos(half), math.sin(half)
-        bx, by, bz = -vx * s, -vy * s, -vz * s
+            if f is not f_even:
+                f_even, r_even = f, _rotation(f, axes, axis_m, axis_n, tol)
+            c, bx, by, bz = r_even
+        at_odd = not at_odd
+        # core.compose(acc, rot) inlined: keep it in step with core,
+        # operation for operation, or the products stop being bit-identical
+        # to the fold.
         w, x, y, z = (w * c - x * bx - y * by - z * bz,
                       w * bx + c * x - (y * bz - z * by),
                       w * by + c * y - (z * bx - x * bz),
@@ -373,6 +423,20 @@ def replay_factors(factors: Sequence[Factor], axis_m, axis_n,
             inv = 1.0 / math.sqrt(n)
             w, x, y, z = w * inv, x * inv, y * inv, z * inv
     return Su2Element(w, x, y, z)
+
+
+def _rotation(f: Factor, axes: list, axis_m, axis_n,
+              tol: Tolerances) -> tuple[float, float, float, float]:
+    """``core.rot`` of one factor as ``(c, bx, by, bz)``, operation for
+    operation; ``axes`` holds each axis once ``unit_axis`` has passed it."""
+    label, angle = f
+    k = 0 if label is AxisLabel.M else 1
+    v = axes[k]
+    if v is None:
+        v = axes[k] = unit_axis(axis_m if k == 0 else axis_n, tol).tolist()
+    half = 0.5 * angle
+    c, s = math.cos(half), math.sin(half)
+    return c, -v[0] * s, -v[1] * s, -v[2] * s
 
 
 def decompose_odd(u: Su2Element, pair: AxisPair,
@@ -441,14 +505,26 @@ def decompose_min(u: Su2Element, m_raw, n_raw, trim: bool = False,
 
 
 def verify_decomposition(d: Decomposition, tol: Tolerances = DEFAULT_TOL) -> VerificationReport:
-    """Replay a decomposition once and report structural diagnostics."""
-    prod = replay_factors(d.factors, d.axis_m, d.axis_n, tol)
+    """Replay a decomposition once and report structural diagnostics.
+
+    A factor that is the very object two places back has that factor's
+    angle, and its label differs from its predecessor's exactly when the
+    predecessor's differs from that factor's; so the label and window
+    checks read only the other factors, of which a run-length chain has a
+    handful.
+    """
+    factors = d.factors
+    prod = replay_factors(factors, d.axis_m, d.axis_n, tol)
     residual = quat_distance(prod, d.target)
-    alternates = all(a.label is not b.label
-                     for a, b in zip(d.factors, d.factors[1:]))
-    in_window = all(-2.0 * math.pi < f.angle <= 2.0 * math.pi + tol.angle
-                    for f in d.factors)
-    nonempty = len(d.factors) >= 1
+    fresh = itertools.chain(
+        range(min(2, len(factors))),
+        itertools.compress(itertools.count(2), map(is_not, factors[2:], factors)))
+    alternates = in_window = True
+    for i in fresh:
+        label, angle = factors[i]
+        alternates = alternates and (i == 0 or factors[i - 1].label is not label)
+        in_window = in_window and -2.0 * math.pi < angle <= 2.0 * math.pi + tol.angle
+    nonempty = len(factors) >= 1
     ok = alternates and in_window and nonempty and residual <= tol.recon
     return VerificationReport(product=prod, residual=residual, alternates=alternates,
                               angles_in_window=in_window, nonempty=nonempty,

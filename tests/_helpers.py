@@ -17,18 +17,27 @@ import biaxial.oracle
 import biaxial.synthesis
 from biaxial import (
     DEFAULT_TOL,
+    AxisLabel,
     AxisPair,
+    Factor,
     PatternSpec,
     Su2Element,
+    compose,
     f_angle,
     g_count,
     generalized_euler,
     geodesic_bound_check,
+    inverse,
     m_odd_count,
+    negate,
+    normalize_angle,
     overlap_b,
+    quat_distance,
+    replay_factors,
+    rot,
     verify_decomposition,
 )
-from biaxial.counting import analyze
+from biaxial.counting import analyze, even_count, reaches_gap
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -213,3 +222,109 @@ def bounds_of(dec):
     product = verify_decomposition(dec).product
     return geodesic_bound_check(product, dec.pair,
                                 PatternSpec(dec.count, dec.factors[-1].label))
+
+
+def reference_chain(u: Su2Element, pair, parity: str, count: int | None = None,
+                    merged: bool | None = None, tol=DEFAULT_TOL):
+    """Raw chain of one construction, spelled out slab by slab.
+
+    Plans the slabs with ``plan_odd`` or ``_plan_even`` and solves every
+    slab with its own ``solve_triple`` call (looked up on the module, so a
+    patched solver is used here too).  ``count`` and ``merged`` default to
+    the rule on the chain's own Euler angle, as in the per-parity
+    constructions.  Returns ``(first label, angles, slabs, beta_prime)``;
+    the angles are not yet reduced.
+    """
+    synthesis = biaxial.synthesis
+    delta = pair.delta
+    if parity == "odd":
+        alpha, beta, gamma = generalized_euler(u, pair, tol)
+        if count is None:
+            count = m_odd_count(beta, delta, tol)
+        slabs = synthesis.plan_odd(beta, delta, count)
+        if not slabs:
+            return AxisLabel.M, [alpha + gamma], slabs, None
+        trips = [synthesis.solve_triple(s, delta, 0.0, tol) for s in slabs]
+        angles = [alpha - trips[0].alpha]
+        for trip, nxt in zip(trips, trips[1:]):
+            angles += [trip.theta, -trip.gamma - nxt.alpha]
+        angles += [trips[-1].theta, -trips[-1].gamma + gamma]
+        return AxisLabel.M, angles, slabs, None
+    source = inverse(u) if parity == "even-nm" else u
+    shifted = compose(rot(pair.l, -delta, tol), source, tol)
+    ap, bp, gp = generalized_euler(shifted, pair, tol)
+    if count is None:
+        count = even_count(bp, delta, tol)
+    if merged is None:
+        merged = reaches_gap(bp, delta, tol)
+    slabs = synthesis._plan_even(bp, delta, count, merged)
+    trips = [synthesis.solve_triple(s, delta, 0.5 * math.pi if j == 0 and merged else 0.0, tol)
+             for j, s in enumerate(slabs)]
+    if not merged:
+        trip = trips[0]
+        return AxisLabel.N, [ap, -trip.alpha, trip.theta, -trip.gamma + gp], slabs, bp
+    angles = [ap + trips[0].theta]
+    for prev, trip in zip(trips, trips[1:]):
+        angles += [-prev.gamma - trip.alpha, trip.theta]
+    angles.append(-trips[-1].gamma + gp)
+    return AxisLabel.N, angles, slabs, bp
+
+
+def reference_factors(chain, u: Su2Element, axis_m, axis_n, *, reverse=False,
+                      swapped=False, m_flipped=False, trim=False, tol=DEFAULT_TOL):
+    """Reported factors of a :func:`reference_chain`, one angle at a time.
+
+    Reduces every angle, reverses and negates the list, exchanges the
+    labels, negates the m-angles, drops zero-angle ends and reduces again,
+    in that order and each step only when asked; every factor is its own
+    ``Factor``.  When the product lands nearer the other lift of ``u``, the
+    first raw angle gains 2*pi and the steps run again.  Returns
+    ``(factors, residual)``.
+    """
+    first_label, raw, _, _ = chain
+    reduced = [normalize_angle(a) for a in raw]
+    for lift_flip in (False, True):
+        angles = list(reduced)
+        if lift_flip:
+            angles[0] = normalize_angle(angles[0] + 2.0 * math.pi)
+        first = first_label
+        if reverse:
+            if len(angles) % 2 == 0:
+                first = first.other
+            angles = [-a for a in reversed(angles)]
+        if swapped:
+            first = first.other
+        if m_flipped:
+            angles = [-a if (first if i % 2 == 0 else first.other) is AxisLabel.M else a
+                      for i, a in enumerate(angles)]
+        if trim:
+            while angles and abs(angles[0]) <= tol.angle:
+                angles.pop(0)
+                first = first.other
+            while angles and abs(angles[-1]) <= tol.angle:
+                angles.pop()
+        factors = [Factor(first if i % 2 == 0 else first.other, normalize_angle(a))
+                   for i, a in enumerate(angles)]
+        prod = replay_factors(factors, axis_m, axis_n, tol)
+        residual = quat_distance(prod, u)
+        if lift_flip or not quat_distance(negate(prod), u) < residual:
+            return factors, residual
+
+
+def reference_decompose_min(u: Su2Element, m, n, trim=False, tol=DEFAULT_TOL):
+    """``(factors, residual)`` of ``decompose_min`` from the slab-by-slab
+    reference: the analysed parity's chain on the governing pair, relabelled
+    for the caller's axes."""
+    analysis = analyze(u, m, n, tol)
+    report, governing = analysis.report, analysis.governing
+    merged = reaches_gap(analysis.distance, governing.delta, tol)
+    chain = reference_chain(u, governing, report.chosen_parity, report.n_min, merged, tol)
+    return reference_factors(chain, u, np.asarray(m, dtype=float), np.asarray(n, dtype=float),
+                             reverse=report.chosen_parity == "even-nm",
+                             swapped=governing.swapped, m_flipped=analysis.pair.m_flipped,
+                             trim=trim, tol=tol)
+
+
+def hex_factors(factors) -> list[tuple[str, str]]:
+    """Factors as ``(label, float.hex(angle))``, so that equality is bit for bit."""
+    return [(f.label.value, f.angle.hex()) for f in factors]

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -82,6 +83,36 @@ class TestFAngle:
     def test_pi_alpha_gives_sum(self):
         assert f_angle(math.pi, math.pi / 3, math.pi / 6) == pytest.approx(
             0.5 * math.pi, abs=1e-12)
+
+    def test_matches_mpmath_near_zero_and_pi(self):
+        # Reference: the sin^2 sum in 40 digits, with cos(f/2)^2 = 1 - sum.
+        # Half the draws put f near pi (alpha near pi with beta + delta near
+        # pi, or alpha near 0 with beta near -(pi - delta)), where reading f
+        # from 1 - sum alone in floats loses half the digits.
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+
+        def reference(a, b, d):
+            a, b, d = mp.mpf(a), mp.mpf(b), mp.mpf(d)
+            s2 = mp.sin((b - d) / 2) ** 2 + mp.sin(a / 2) ** 2 * mp.sin(b) * mp.sin(d)
+            s2 = min(max(s2, mp.mpf(0)), mp.mpf(1))
+            return float(2 * mp.atan2(mp.sqrt(s2), mp.sqrt(1 - s2)))
+
+        rng = np.random.default_rng(31)
+        worst = 0.0
+        for i in range(2000):
+            d = rng.uniform(1e-4, 0.5 * math.pi)
+            near = rng.normal() * 10.0 ** rng.uniform(-12.0, -2.0)
+            if i % 4 == 0:
+                a, b = rng.uniform(-2 * math.pi, 2 * math.pi), rng.uniform(0.0, math.pi)
+            elif i % 4 == 1:
+                a, b = rng.uniform(-2 * math.pi, 2 * math.pi), -rng.uniform(0.0, math.pi)
+            elif i % 4 == 2:
+                a, b = math.pi + near, min(math.pi, math.pi - d + near)
+            else:
+                a, b = near, max(-math.pi, -(math.pi - d) + near)
+            worst = max(worst, abs(f_angle(a, b, d) - reference(a, b, d)))
+        assert worst < 1e-14, worst
 
 
 class TestGCount:

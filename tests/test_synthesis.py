@@ -1,5 +1,6 @@
 """Explicit constructions: slab triples, chains, optimal dispatch."""
 
+import itertools
 import math
 
 import numpy as np
@@ -41,7 +42,9 @@ from biaxial.synthesis import (
 )
 import biaxial.synthesis as synthesis
 from biaxial.counting import analyze
-from _helpers import count_replay_calls, random_axis, random_pair, random_su2
+from _helpers import (count_replay_calls, hex_factors, random_axis, random_pair,
+                      random_su2, reference_chain, reference_decompose_min,
+                      reference_factors)
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -386,6 +389,30 @@ class TestVerifyDecomposition:
         assert verify_decomposition(dec).product == replay_factors(
             dec.factors, dec.axis_m, dec.axis_n)
 
+    def test_checks_equal_their_per_factor_definitions(self):
+        # The checks skip a factor that is the same object as the one two
+        # places back.  Lists drawn from a small pool of shared objects, with
+        # same-label neighbours and angles on and past the window's ends,
+        # must get the verdicts of the plain per-factor definitions.
+        rng = np.random.default_rng(150)
+        dec = decompose_min(rot(EY, 0.7), EZ, EX)
+        top = 2.0 * math.pi + DEFAULT_TOL.angle
+        angles = [0.3, -0.0, -2.0 * math.pi, top, 2.0 * top, math.nan, 7.0]
+        pool = [Factor(label, a) for label in AxisLabel for a in angles]
+        verdicts = set()
+        for _ in range(3000):
+            picks = rng.choice(len(pool), size=rng.integers(0, 5))
+            factors = [pool[i] for i in picks]
+            factors = tuple(factors[:2] + factors[2:4] * int(rng.integers(0, 4)) + factors[4:])
+            report = verify_decomposition(Decomposition(
+                factors=factors, target=dec.target, axis_m=EZ, axis_n=EX,
+                pair=dec.pair, parity=dec.parity, residual=0.0))
+            alternates = all(a.label is not b.label for a, b in zip(factors, factors[1:]))
+            in_window = all(-2.0 * math.pi < f.angle <= top for f in factors)
+            assert (report.alternates, report.angles_in_window) == (alternates, in_window)
+            verdicts.add((alternates, in_window))
+        assert len(verdicts) == 4
+
 
 def fold_replay(factors, axis_m, axis_n, tol=DEFAULT_TOL):
     """Reference product: the left fold over ``compose`` and ``rot``."""
@@ -417,6 +444,24 @@ class TestReplayKernel:
             factors = alternating(angles, first)
             got = replay_factors(factors, m, n)
             assert got.components() == fold_replay(factors, m, n).components()
+
+    @pytest.mark.parametrize("first", [AxisLabel.M, AxisLabel.N])
+    def test_repeated_block_bit_identical_to_fold(self, first):
+        # The replay computes one rotation per distinct Factor object.  Every
+        # head, shared two-angle block and tail drawn from the special angles
+        # is checked; on the canonical axes the products keep exact zeros
+        # whose signs tell 0.0 and -0.0 apart (e.g. m 0.0, n 2*pi, m -0.0),
+        # so a replay that shared one rotation between them would differ.
+        specials = [0.0, -0.0, 2.0 * math.pi, -2.0 * math.pi]
+        hexes = lambda q: [c.hex() for c in q.components()]
+        rng = np.random.default_rng(140)
+        for m, n in ((EZ, EX), random_pair(rng, 1e-3, 0.5 * math.pi)):
+            for head, b0, b1, tail in itertools.product(specials, repeat=4):
+                block = tuple(alternating([b0, b1], first.other))
+                factors = (alternating([head], first) + list(block * 3)
+                           + alternating([tail], first.other))
+                got = replay_factors(factors, m, n)
+                assert hexes(got) == hexes(fold_replay(factors, m, n))
 
     def test_off_unit_axes_take_the_renormalisation_branch(self):
         rng = np.random.default_rng(110)
@@ -561,6 +606,94 @@ class TestDecomposeMinPinned:
             assert dec.count == count_min(u, m, n).n_min
             flipped += odd_slabs
         assert flipped > 0
+
+
+def small_gap_cases(delta):
+    """Seeded (u, m, n) at gap ``delta``: one of each (parity, swapped) pair
+    from Haar targets on random axes, then two rotations about ``l`` and the
+    identity (the one target here whose chain has a zero end to trim: a
+    minimal chain that ends on a zero angle would not be minimal) on
+    canonical axes."""
+    rng = np.random.default_rng(round(-math.log10(delta)))
+    want = {(p, s) for p in PUBLIC_CONSTRUCTION for s in (False, True)}
+    cases = []
+    while want:
+        m, n = random_pair(rng, delta, delta)
+        u = random_su2(rng)
+        analysis = analyze(u, m, n)
+        key = (analysis.report.chosen_parity, analysis.governing.swapped)
+        if key in want:
+            want.discard(key)
+            cases.append((u, m, n))
+    pair = pair_with_delta(delta)
+    for u in (rot(pair.l, rng.uniform(0.0, math.pi)), rot(pair.l, -0.5 * math.pi), IDENTITY):
+        cases.append((u, pair.m, pair.n))
+    return cases
+
+
+class TestChainReference:
+    """The run-length chains equal the slab-by-slab reference chain, factor
+    for factor, at gaps where the chains run to thousands of factors."""
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
+    def test_decompose_min_equals_reference(self, delta):
+        # Trimming runs with the flipped m, so both signs and both settings
+        # are covered at half the cost of every combination.
+        trimmed = 0
+        for u, m, n in small_gap_cases(delta):
+            for mm, trim in ((m, False), (-m, True)):
+                dec = decompose_min(u, mm, n, trim=trim)
+                factors, residual = reference_decompose_min(u, mm, n, trim=trim)
+                assert hex_factors(dec.factors) == hex_factors(factors)
+                assert dec.residual.hex() == residual.hex()
+                assert dec.residual == verify_decomposition(dec).residual
+                trimmed += dec.count < dec.report.n_min
+        assert trimmed > 0
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
+    def test_constructions_equal_reference(self, delta):
+        for u, m, n in small_gap_cases(delta)[::2]:
+            pair = AxisPair.from_axes(m, n)
+            for parity, build in PUBLIC_CONSTRUCTION.items():
+                dec = build(u, pair)
+                chain = reference_chain(u, pair, parity)
+                factors, residual = reference_factors(chain, u, pair.m, pair.n,
+                                                      reverse=parity == "even-nm")
+                assert hex_factors(dec.factors) == hex_factors(factors)
+                assert dec.residual.hex() == residual.hex()
+                assert dec.slabs == tuple(chain[2])
+                assert dec.beta_prime == chain[3]
+
+    def test_long_chain_shares_factors(self):
+        long_chains = 0
+        for u, m, n in small_gap_cases(1e-4):
+            dec = decompose_min(u, m, n)
+            assert len({id(f) for f in dec.factors}) <= 8
+            long_chains += dec.count > 1000
+        assert long_chains >= 6
+
+    def test_trim_into_the_block_trims_the_full_chain(self, monkeypatch):
+        # The odd chain of this target starts on alpha - pi (alpha is pi up
+        # to rounding).  A solver that gives every full slab the triple
+        # (pi, 1 - pi, 0) makes that start zero and the repeated block
+        # (0, -1), so trimming stops inside the block's first copy (this
+        # triple keeps the product on the first lift, so the start stays 0).
+        solve = synthesis.solve_triple
+
+        def zero_block(beta_j, delta, t=0.0, tol=DEFAULT_TOL):
+            if beta_j == 2.0 * delta and t == 0.0:
+                return synthesis.TripleSolution(math.pi, 1.0 - math.pi, 0.0)
+            return solve(beta_j, delta, t, tol)
+
+        monkeypatch.setattr(synthesis, "solve_triple", zero_block)
+        pair = pair_with_delta(1e-2)
+        u = compose(rot(pair.l, -0.3), rot(pair.m, 0.7))
+        assert analyze(u, pair.m, pair.n).report.chosen_parity == "odd"
+        for mm in (pair.m, -pair.m):
+            dec = decompose_min(u, mm, pair.n, trim=True)
+            factors, _ = reference_decompose_min(u, mm, pair.n, trim=True)
+            assert hex_factors(dec.factors) == hex_factors(factors)
+            assert dec.count == dec.report.n_min - 2
 
 
 class TestDecomposeMinReport:
