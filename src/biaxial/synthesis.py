@@ -310,16 +310,6 @@ def _even_chain(u: Su2Element, pair: AxisPair, tol: Tolerances,
     return _Chain(AxisLabel.N, angles, at, extra, slabs, bp)
 
 
-def _zero_ends(angles: list[float], tol: Tolerances) -> tuple[int, int]:
-    """``(lo, hi)`` such that ``angles[lo:hi]`` drops the zero-angle ends."""
-    lo, hi = 0, len(angles)
-    while lo < hi and abs(angles[lo]) <= tol.angle:
-        lo += 1
-    while hi > lo and abs(angles[hi - 1]) <= tol.angle:
-        hi -= 1
-    return lo, hi
-
-
 def _finish(chain: _Chain, u: Su2Element, pair: AxisPair, parity: str,
             axis_m: np.ndarray, axis_n: np.ndarray, tol: Tolerances, *,
             reverse: bool = False, swapped: bool = False,
@@ -357,12 +347,15 @@ def _finish(chain: _Chain, u: Su2Element, pair: AxisPair, parity: str,
             start = 0 if first is AxisLabel.M else 1
             angles[start::2] = [-a for a in angles[start::2]]
         if trim:
-            lo, hi = _zero_ends(angles, tol)
-            if extra and (lo > at or hi < at + 2):
-                # The zero ends reach into the block: trim the full chain.
-                angles = angles[:at] + angles[at:at + 2] * (extra + 1) + angles[at + 2:]
-                extra = 0
-                lo, hi = _zero_ends(angles, tol)
+            lo, hi = 0, len(angles)
+            while lo < hi and abs(angles[lo]) <= tol.angle:
+                lo += 1
+            while hi > lo and abs(angles[hi - 1]) <= tol.angle:
+                hi -= 1
+            # Only gaps below pi/2 repeat a block, and there a full slab's
+            # sine and tangent ratios are exactly 1: its triple is
+            # (0, pi, pi) and the block (pi, -pi) up to sign, never zero.
+            assert not extra or (lo <= at and hi >= at + 2)
             if lo % 2:
                 first = first.other
             angles = angles[lo:hi]

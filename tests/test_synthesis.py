@@ -672,29 +672,6 @@ class TestChainReference:
             long_chains += dec.count > 1000
         assert long_chains >= 6
 
-    def test_trim_into_the_block_trims_the_full_chain(self, monkeypatch):
-        # The odd chain of this target starts on alpha - pi (alpha is pi up
-        # to rounding).  A solver that gives every full slab the triple
-        # (pi, 1 - pi, 0) makes that start zero and the repeated block
-        # (0, -1), so trimming stops inside the block's first copy (this
-        # triple keeps the product on the first lift, so the start stays 0).
-        solve = synthesis.solve_triple
-
-        def zero_block(beta_j, delta, t=0.0, tol=DEFAULT_TOL):
-            if beta_j == 2.0 * delta and t == 0.0:
-                return synthesis.TripleSolution(math.pi, 1.0 - math.pi, 0.0)
-            return solve(beta_j, delta, t, tol)
-
-        monkeypatch.setattr(synthesis, "solve_triple", zero_block)
-        pair = pair_with_delta(1e-2)
-        u = compose(rot(pair.l, -0.3), rot(pair.m, 0.7))
-        assert analyze(u, pair.m, pair.n).report.chosen_parity == "odd"
-        for mm in (pair.m, -pair.m):
-            dec = decompose_min(u, mm, pair.n, trim=True)
-            factors, _ = reference_decompose_min(u, mm, pair.n, trim=True)
-            assert hex_factors(dec.factors) == hex_factors(factors)
-            assert dec.count == dec.report.n_min - 2
-
 
 class TestDecomposeMinReport:
     """``decompose_min`` returns the analysis it ran as ``report``."""
