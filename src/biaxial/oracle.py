@@ -120,30 +120,18 @@ def geodesic_bound_check(u: Su2Element, pair: AxisPair, pattern: PatternSpec,
                                passed=distance <= bound + BOUND_SLACK)
 
 
-def _qmul_cols(a, b):
-    """Quaternion product on column tuples (w, x, y, z) of (S,) arrays."""
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + w2 * x1 - (y1 * z2 - z1 * y2),
-            w1 * y2 + w2 * y1 - (z1 * x2 - x1 * z2),
-            w1 * z2 + w2 * z1 - (x1 * y2 - y1 * x2))
-
-
-def _qmul_pure_right(a, v):
-    """Product ``a * (0, v)`` with a constant pure quaternion on the right."""
-    w1, x1, y1, z1 = a
+def _left_pure(v) -> np.ndarray:
+    """Matrix ``A`` with ``(0, v) * q = A @ q`` for a (w, x, y, z) column ``q``."""
     vx, vy, vz = v
-    return (-(x1 * vx + y1 * vy + z1 * vz),
-            w1 * vx - (y1 * vz - z1 * vy),
-            w1 * vy - (z1 * vx - x1 * vz),
-            w1 * vz - (x1 * vy - y1 * vx))
+    return np.array([[0.0, -vx, -vy, -vz],
+                     [vx, 0.0, vz, -vy],
+                     [vy, -vz, 0.0, vx],
+                     [vz, vy, -vx, 0.0]])
 
 
 def numeric_search(u: Su2Element, pair: AxisPair, pattern: PatternSpec,
                    starts: int = 64, seed: int = 0,
-                   stop_below: float | None = None,
-                   tol: Tolerances = DEFAULT_TOL) -> SearchResult:
+                   stop_below: float | None = None) -> SearchResult:
     """Multistart minimization of the pattern-product residual.
 
     The residual is the quaternion distance minimized over the two lifts
@@ -166,14 +154,15 @@ def numeric_search(u: Su2Element, pair: AxisPair, pattern: PatternSpec,
     k = pattern.k
     rng = np.random.default_rng(seed)
     angles = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (starts, k))
-    axes = [(pair.m if lab is AxisLabel.M else pair.n) for lab in pattern.labels()]
-    pure = [(-a[0], -a[1], -a[2]) for a in axes]
+    # Factor i is V_i = c_i - s_i * (0, axis_i); mats[i] is the left
+    # multiplication by (0, axis_i).  Quaternions are (4, starts) columns.
+    mats = [_left_pure(pair.m if lab is AxisLabel.M else pair.n)
+            for lab in pattern.labels()]
     c = [np.cos(0.5 * angles[:, i]) for i in range(k)]
     s = [np.sin(0.5 * angles[:, i]) for i in range(k)]
-    tw, tx, ty, tz = u.w, u.x, u.y, u.z
-    zero = np.zeros(starts)
-    one = np.ones(starts)
-    identity = (one, zero, zero, zero)
+    target = np.array([[u.w], [u.x], [u.y], [u.z]])
+    identity = np.zeros((4, starts))
+    identity[0] = 1.0
 
     # A row may settle once its per-sweep progress is far below the
     # precision the caller's threshold needs; without a threshold it only
@@ -182,40 +171,33 @@ def numeric_search(u: Su2Element, pair: AxisPair, pattern: PatternSpec,
     if stop_below is not None:
         settle_atol = max(_SWEEP_ATOL, 1e-4 * stop_below * stop_below)
 
-    h = zero.copy()
+    h = np.zeros(starts)
     h_prev = np.full(starts, -1.0)
     settled = np.zeros(starts, dtype=bool)
-    sweeps = 0
     row_sweeps = 0
-    for sweeps in range(1, _MAX_SWEEPS + 1):
-        row_sweeps += int(starts - settled.sum())
-        # Suffix products R[i] = V_{i-1} ... V_0 from the current angles,
-        # with V_j = c_j * 1 + s_j * (0, pure_j).
+    for _ in range(_MAX_SWEEPS):
+        live = ~settled
+        row_sweeps += int(live.sum())
+        # Suffix products R_i = V_{i-1} ... V_0 from the current angles.
         suffix = [identity]
-        for i in range(1, k):
-            factor = (c[i - 1],
-                      s[i - 1] * pure[i - 1][0],
-                      s[i - 1] * pure[i - 1][1],
-                      s[i - 1] * pure[i - 1][2])
-            suffix.append(_qmul_cols(factor, suffix[i - 1]))
-        left = identity
+        for i in range(k - 1):
+            suffix.append(c[i] * suffix[i] - s[i] * (mats[i] @ suffix[i]))
+        # Running target T = conj(V_{k-1} ... V_{i+1}) * t.  Since
+        # <p*q, r> = <q, conj(p)*r>, the product's overlap with t is
+        # <R_i, conj(V_i) T> = a*c_i + b*s_i with a = <R_i, T> and
+        # b = <R_i, A_i T>.
+        run = target
         for i in range(k - 1, -1, -1):
-            left_q = _qmul_pure_right(left, pure[i])
-            pw, px, py, pz = _qmul_cols(left, suffix[i])
-            qw, qx, qy, qz = _qmul_cols(left_q, suffix[i])
-            a_coef = pw * tw + px * tx + py * ty + pz * tz
-            b_coef = qw * tw + qx * tx + qy * ty + qz * tz
+            turned = mats[i] @ run
+            a_coef = (suffix[i] * run).sum(axis=0)
+            b_coef = (suffix[i] * turned).sum(axis=0)
             h_new = np.hypot(a_coef, b_coef)
             # |a*cos + b*sin| is maximised at (cos, sin) = (a, b)/hypot.
-            upd = (~settled) & (h_new > 0.0)
-            safe = np.where(h_new > 0.0, h_new, 1.0)
-            c[i] = np.where(upd, a_coef / safe, c[i])
-            s[i] = np.where(upd, b_coef / safe, s[i])
-            h = np.where(settled, h, h_new)
-            left = (c[i] * left[0] + s[i] * left_q[0],
-                    c[i] * left[1] + s[i] * left_q[1],
-                    c[i] * left[2] + s[i] * left_q[2],
-                    c[i] * left[3] + s[i] * left_q[3])
+            upd = live & (h_new > 0.0)
+            np.divide(a_coef, h_new, out=c[i], where=upd)
+            np.divide(b_coef, h_new, out=s[i], where=upd)
+            np.copyto(h, h_new, where=live)
+            run = c[i] * run + s[i] * turned
         settled |= np.abs(h - h_prev) <= settle_atol
         if settled.all():
             break
@@ -255,7 +237,7 @@ def minimality_certificate(u: Su2Element, m_raw, n_raw, starts: int = 64,
         for first_axis in (AxisLabel.M, AxisLabel.N):
             result = numeric_search(u, dec.pair, PatternSpec(n - 1, first_axis),
                                     starts=starts, seed=seed,
-                                    stop_below=INFEASIBLE_RESIDUAL, tol=tol)
+                                    stop_below=INFEASIBLE_RESIDUAL)
             refutations.append((n - 1, first_axis.value, result.best_residual))
             if result.best_residual <= INFEASIBLE_RESIDUAL:
                 infeasible_ok = False

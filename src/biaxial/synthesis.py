@@ -476,10 +476,12 @@ def decompose_min(u: Su2Element, m_raw, n_raw, trim: bool = False,
     Builds the analysed parity's one closed-form chain of the analysed
     count (each slab has a single solution), then maps factor labels and
     angle signs back from the normalized governing axes to the axes as
-    given.  With ``trim`` set, zero-angle factors at the ends are elided,
-    which may undercut the formal count.  The factors are replayed
-    once (twice when the first replay lands on the other lift), and the
-    analysis is returned as ``report``.
+    given.  With ``trim`` set, zero-angle factors at the ends are elided;
+    a minimal chain has a zero end only when it is the one factor of a
+    target within about 1e-12 of +-identity, so trimming takes exactly
+    those chains from 1 factor to 0 and leaves every other chain as it
+    is.  The factors are replayed once (twice when the first replay lands
+    on the other lift), and the analysis is returned as ``report``.
     """
     analysis = analyze(u, m_raw, n_raw, tol)
     report = analysis.report

@@ -38,6 +38,7 @@ from biaxial import (
     verify_decomposition,
 )
 from biaxial.counting import analyze, even_count, reaches_gap
+from biaxial.oracle import _MAX_SWEEPS, _SWEEP_ATOL, SearchResult
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -328,3 +329,109 @@ def reference_decompose_min(u: Su2Element, m, n, trim=False, tol=DEFAULT_TOL):
 def hex_factors(factors) -> list[tuple[str, str]]:
     """Factors as ``(label, float.hex(angle))``, so that equality is bit for bit."""
     return [(f.label.value, f.angle.hex()) for f in factors]
+
+
+def _qmul_cols(a, b):
+    """Quaternion product on column tuples (w, x, y, z) of (S,) arrays."""
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + w2 * x1 - (y1 * z2 - z1 * y2),
+            w1 * y2 + w2 * y1 - (z1 * x2 - x1 * z2),
+            w1 * z2 + w2 * z1 - (x1 * y2 - y1 * x2))
+
+
+def _qmul_pure_right(a, v):
+    """Product ``a * (0, v)`` with a constant pure quaternion on the right."""
+    w1, x1, y1, z1 = a
+    vx, vy, vz = v
+    return (-(x1 * vx + y1 * vy + z1 * vz),
+            w1 * vx - (y1 * vz - z1 * vy),
+            w1 * vy - (z1 * vx - x1 * vz),
+            w1 * vz - (x1 * vy - y1 * vx))
+
+
+def reference_search(u: Su2Element, pair, pattern: PatternSpec,
+                     starts: int = 64, seed: int = 0,
+                     stop_below: float | None = None) -> SearchResult:
+    """``numeric_search`` as two full quaternion products per coordinate.
+
+    Every coordinate update forms ``left * suffix`` and
+    ``left * (0, p) * suffix`` column by column and dots both with the
+    target; same start draws, update, settle and ``stop_below`` rules.
+    """
+    if starts < 1:
+        raise ValueError("starts must be at least 1")
+    if pattern.k < 1:
+        raise ValueError("pattern length must be at least 1")
+    k = pattern.k
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (starts, k))
+    axes = [(pair.m if lab is AxisLabel.M else pair.n) for lab in pattern.labels()]
+    pure = [(-a[0], -a[1], -a[2]) for a in axes]
+    c = [np.cos(0.5 * angles[:, i]) for i in range(k)]
+    s = [np.sin(0.5 * angles[:, i]) for i in range(k)]
+    tw, tx, ty, tz = u.w, u.x, u.y, u.z
+    zero = np.zeros(starts)
+    one = np.ones(starts)
+    identity = (one, zero, zero, zero)
+
+    # A row may settle once its per-sweep progress is far below the
+    # precision the caller's threshold needs; without a threshold it only
+    # settles at machine precision.
+    settle_atol = _SWEEP_ATOL
+    if stop_below is not None:
+        settle_atol = max(_SWEEP_ATOL, 1e-4 * stop_below * stop_below)
+
+    h = zero.copy()
+    h_prev = np.full(starts, -1.0)
+    settled = np.zeros(starts, dtype=bool)
+    sweeps = 0
+    row_sweeps = 0
+    for sweeps in range(1, _MAX_SWEEPS + 1):
+        row_sweeps += int(starts - settled.sum())
+        # Suffix products R[i] = V_{i-1} ... V_0 from the current angles,
+        # with V_j = c_j * 1 + s_j * (0, pure_j).
+        suffix = [identity]
+        for i in range(1, k):
+            factor = (c[i - 1],
+                      s[i - 1] * pure[i - 1][0],
+                      s[i - 1] * pure[i - 1][1],
+                      s[i - 1] * pure[i - 1][2])
+            suffix.append(_qmul_cols(factor, suffix[i - 1]))
+        left = identity
+        for i in range(k - 1, -1, -1):
+            left_q = _qmul_pure_right(left, pure[i])
+            pw, px, py, pz = _qmul_cols(left, suffix[i])
+            qw, qx, qy, qz = _qmul_cols(left_q, suffix[i])
+            a_coef = pw * tw + px * tx + py * ty + pz * tz
+            b_coef = qw * tw + qx * tx + qy * ty + qz * tz
+            h_new = np.hypot(a_coef, b_coef)
+            # |a*cos + b*sin| is maximised at (cos, sin) = (a, b)/hypot.
+            upd = (~settled) & (h_new > 0.0)
+            safe = np.where(h_new > 0.0, h_new, 1.0)
+            c[i] = np.where(upd, a_coef / safe, c[i])
+            s[i] = np.where(upd, b_coef / safe, s[i])
+            h = np.where(settled, h, h_new)
+            left = (c[i] * left[0] + s[i] * left_q[0],
+                    c[i] * left[1] + s[i] * left_q[1],
+                    c[i] * left[2] + s[i] * left_q[2],
+                    c[i] * left[3] + s[i] * left_q[3])
+        settled |= np.abs(h - h_prev) <= settle_atol
+        if settled.all():
+            break
+        h_prev = np.where(settled, h_prev, h)
+        if stop_below is not None:
+            best_now = math.sqrt(max(0.0, 2.0 * (1.0 - min(1.0, float(h.max())))))
+            if best_now < stop_below:
+                break
+
+    residuals = np.sqrt(np.maximum(0.0, 2.0 * (1.0 - np.minimum(1.0, h))))
+    best = int(np.argmin(residuals))
+    best_angles = tuple(normalize_angle(2.0 * math.atan2(float(s[i][best]),
+                                                         float(c[i][best])))
+                        for i in range(k))
+    return SearchResult(best_residual=float(residuals[best]),
+                        best_angles=best_angles,
+                        evaluations=row_sweeps * k,
+                        seed=seed)

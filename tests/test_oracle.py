@@ -1,5 +1,6 @@
 """Geodesic bound checks and brute-force minimality search."""
 
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from biaxial import (
     Su2Element,
     worst_case_witness,
 )
+from biaxial.oracle import FEASIBLE_RESIDUAL, INFEASIBLE_RESIDUAL
 from biaxial.synthesis import decompose_even, decompose_odd
 from _helpers import (
     bounds_of,
@@ -29,6 +31,7 @@ from _helpers import (
     random_instance,
     random_pair,
     random_su2,
+    reference_search,
 )
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -110,14 +113,48 @@ class TestNumericSearch:
         assert a == b
 
     def test_monotone_in_starts(self):
+        # Rows are independent, so a larger start list only adds rows.
         rng = np.random.default_rng(42)
         m, n = random_pair(rng, 0.4, 0.5 * math.pi)
         pair = AxisPair.from_axes(m, n)
         u = random_su2(rng)
-        spec = PatternSpec(2, AxisLabel.M)
-        residuals = [numeric_search(u, pair, spec, starts=s, seed=3).best_residual
-                     for s in (1, 4, 8, 16)]
-        assert all(a >= b - 1e-15 for a, b in zip(residuals, residuals[1:]))
+        for k in (2, 3):
+            for first in (AxisLabel.M, AxisLabel.N):
+                spec = PatternSpec(k, first)
+                residuals = [numeric_search(u, pair, spec, starts=s, seed=3).best_residual
+                             for s in (1, 4, 8, 16)]
+                assert all(a >= b for a, b in zip(residuals, residuals[1:])), (spec, residuals)
+
+    def test_zero_overlap_keeps_the_starts(self):
+        # (0, 1, 0, 0) is orthogonal to every rotation about z, so every row
+        # has a = b = 0 and no update applies.
+        pair = AxisPair.from_axes(EZ, EX)
+        result = numeric_search(Su2Element(0.0, 1.0, 0.0, 0.0), pair,
+                                PatternSpec(1, AxisLabel.M), starts=8, seed=5)
+        assert result.best_residual == math.sqrt(2.0)
+        start = np.random.default_rng(5).uniform(-2.0 * math.pi, 2.0 * math.pi, (8, 1))
+        assert result.best_angles[0] == pytest.approx(start[0, 0], abs=1e-12)
+
+    def test_matches_two_product_reference(self):
+        # The running-target sweep against the two-product sweep it replaced:
+        # same verdicts at both thresholds, residuals equal to rounding.
+        rng = np.random.default_rng(44)
+        for delta in (0.5 * math.pi, 1.0, 0.3, 2.5):
+            for _ in range(2):
+                m, n = random_pair(rng, delta, delta)
+                pair = AxisPair.from_axes(m, n)
+                u = random_su2(rng)
+                for k, first, stop_below in itertools.product(
+                        (1, 2, 3, 4), (AxisLabel.M, AxisLabel.N), (None, 1e-7, 1e-4)):
+                    spec = PatternSpec(k, first)
+                    got = numeric_search(u, pair, spec, starts=8, seed=k,
+                                         stop_below=stop_below).best_residual
+                    ref = reference_search(u, pair, spec, starts=8, seed=k,
+                                           stop_below=stop_below).best_residual
+                    case = (delta, spec, stop_below, got, ref)
+                    assert abs(got - ref) <= 1e-7, case
+                    assert (got <= FEASIBLE_RESIDUAL) == (ref <= FEASIBLE_RESIDUAL), case
+                    assert (got <= INFEASIBLE_RESIDUAL) == (ref <= INFEASIBLE_RESIDUAL), case
 
     def test_odd_count_cross_check(self):
         # The odd formula's value is exactly where the m-first odd search
