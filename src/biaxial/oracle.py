@@ -41,7 +41,14 @@ INFEASIBLE_RESIDUAL = 1e-4
 BOUND_SLACK = 1e-9
 
 _MAX_SWEEPS = 8000
-_SWEEP_ATOL = 1e-16
+# Two float spacings of h just above 1 (2.2e-16 each, 1.1e-16 below 1): at
+# 1e-16 rows at the float floor kept sweeping on one-ulp changes of h.
+_SWEEP_ATOL = 4.5e-16
+# Longest pattern swept on its dense overlap tensor.  Its products have
+# inner dimension 2**(k-1); from 16 up, BLAS gemm rounds a column
+# differently with the number of columns, so results would depend on
+# ``starts``.
+_DENSE_MAX_K = 4
 
 
 @dataclass(frozen=True)
@@ -129,6 +136,88 @@ def _left_pure(v) -> np.ndarray:
                      [vz, vy, -vx, 0.0]])
 
 
+def _overlap_slices(target: np.ndarray, mats: list[np.ndarray]) -> list[np.ndarray]:
+    """Coefficients of the overlap ``<t, V_{k-1} ... V_0>``, one slice per
+    coordinate.
+
+    The overlap is multilinear in the pairs ``x_i = (c_i, s_i)``: it is
+    ``sum_b W[b] * prod_i x_i[b_i]`` over bits ``b``, where ``W[b]`` is the
+    overlap of ``t`` with the product of ``1`` (bit 0) or ``-(0, axis_i)``
+    (bit 1) over ``i``.  Slice ``i`` is ``W`` with ``b_i`` leading and the
+    other bits flattened, highest index first, as ``(2, 2**(k-1))``.
+    """
+    prods = np.array([1.0, 0.0, 0.0, 0.0])
+    for mat in mats:
+        prods = np.stack([prods, -(prods @ mat.T)])
+    w = prods @ target
+    k = len(mats)
+    return [np.moveaxis(w, k - 1 - i, 0).reshape(2, -1) for i in range(k)]
+
+
+def _update(c_i: np.ndarray, s_i: np.ndarray, a_coef: np.ndarray, b_coef: np.ndarray,
+            live: np.ndarray, h: np.ndarray) -> None:
+    """Exact update of coordinate ``i`` on the live rows from the overlap
+    ``a*c_i + b*s_i`` it maximises."""
+    h_new = np.hypot(a_coef, b_coef)
+    # |a*cos + b*sin| is maximised at (cos, sin) = (a, b)/hypot.
+    upd = live & (h_new > 0.0)
+    np.divide(a_coef, h_new, out=c_i, where=upd)
+    np.divide(b_coef, h_new, out=s_i, where=upd)
+    np.copyto(h, h_new, where=live)
+
+
+def _dense_plan(slices: list[np.ndarray], x: np.ndarray) -> list[tuple]:
+    """Per coordinate ``i``, in sweep order: views of ``c_i`` and ``s_i`` in
+    ``x``, its slice of ``W``, the products that form the outer product of
+    the other coordinates' ``x_j``, that product, and the buffer its
+    ``(a, b)`` lands in with views of ``a`` and ``b``."""
+    k, _, cols = x.shape
+    plan = []
+    for i in range(k - 1, -1, -1):
+        others = [x[j] for j in range(k - 1, -1, -1) if j != i]
+        steps = []
+        outer = others[0] if others else np.ones((1, cols))
+        for row in others[1:]:
+            out = np.empty((len(outer), 2, cols))
+            steps.append((outer[:, None, :], row, out))
+            outer = out.reshape(-1, cols)
+        ab = np.empty((2, cols))
+        plan.append((x[i, 0], x[i, 1], slices[i], steps, outer, ab, ab[0], ab[1]))
+    return plan
+
+
+def _dense_sweep(plan: list[tuple], live: np.ndarray, h: np.ndarray) -> None:
+    """One sweep ``k-1 ... 0``: coordinate ``i``'s ``(a, b)`` is its slice
+    of ``W`` times the outer product of the other coordinates' ``x_j``."""
+    for c_i, s_i, w_i, steps, outer, ab, a_coef, b_coef in plan:
+        for left, right, out in steps:
+            np.multiply(left, right, out=out)
+        np.matmul(w_i, outer, out=ab)
+        _update(c_i, s_i, a_coef, b_coef, live, h)
+
+
+def _running_sweep(mats: list[np.ndarray], target: np.ndarray, c: list[np.ndarray],
+                   s: list[np.ndarray], live: np.ndarray, h: np.ndarray) -> None:
+    """One sweep ``k-1 ... 0`` carrying a running target down the pattern;
+    quaternions are ``(4, starts)`` arrays."""
+    k = len(mats)
+    # Suffix products R_i = V_{i-1} ... V_0 from the current angles.
+    suffix = [np.zeros((4, len(h)))]
+    suffix[0][0] = 1.0
+    for i in range(k - 1):
+        suffix.append(c[i] * suffix[i] - s[i] * (mats[i] @ suffix[i]))
+    # Running target T = conj(V_{k-1} ... V_{i+1}) * t.  Since
+    # <p*q, r> = <q, conj(p)*r>, the product's overlap with t is
+    # <R_i, conj(V_i) T> = a*c_i + b*s_i with a = <R_i, T> and
+    # b = <R_i, A_i T>.
+    run = target[:, None]
+    for i in range(k - 1, -1, -1):
+        turned = mats[i] @ run
+        _update(c[i], s[i], (suffix[i] * run).sum(axis=0),
+                (suffix[i] * turned).sum(axis=0), live, h)
+        run = c[i] * run + s[i] * turned
+
+
 def numeric_search(u: Su2Element, pair: AxisPair, pattern: PatternSpec,
                    starts: int = 64, seed: int = 0,
                    stop_below: float | None = None) -> SearchResult:
@@ -137,15 +226,27 @@ def numeric_search(u: Su2Element, pair: AxisPair, pattern: PatternSpec,
     The residual is the quaternion distance minimized over the two lifts
     (angle windows of width 4*pi absorb the sign).  Starts are drawn
     uniformly from ``[-2*pi, 2*pi]^k`` and refined by cyclic coordinate
-    descent with exact per-coordinate updates; rows evolve independently
-    and stop when their per-sweep progress dies out, so the result equals a
-    sequential scan of the same start list and is nonincreasing in
-    ``starts``.  If a pattern decomposition exists, desk-scale instances
-    reach a residual far below 1e-6 well within 64 starts.  When
-    ``stop_below`` is set the sweep loop exits as soon as the best row's
-    residual drops under it, and rows are allowed to settle at coarser
-    precision (adequate for threshold classification); both trades remain
-    deterministic.
+    descent with exact per-coordinate updates, sweeping coordinates
+    ``k-1 ... 0``.  Rows evolve independently and stop when their per-sweep
+    progress dies out, so the result equals a sequential scan of the same
+    start list and is nonincreasing in ``starts``, from ``starts = 1`` up.
+    If a pattern decomposition exists, desk-scale instances reach a
+    residual far below 1e-6 well within 64 starts.  When ``stop_below`` is
+    set the sweep loop exits as soon as the best row's residual drops under
+    it, and rows are allowed to settle at coarser precision (adequate for
+    threshold classification); both trades remain deterministic.
+
+    The overlap with the target is multilinear in the per-factor pairs
+    ``(cos(theta_i/2), sin(theta_i/2))``.  Patterns of at most
+    ``_DENSE_MAX_K`` factors sweep on its ``2**k`` coefficients, built once
+    per search: an update is one product of the coordinate's slice of them
+    with the other coordinates' outer product.  Longer patterns carry a
+    running target down each sweep instead, at a cost that grows like ``k``
+    rather than ``2**k``.  Both forms make the same updates up to rounding.
+    The cut-off keeps the ``starts`` claim: past 4 factors the dense
+    products reach inner dimension 16, where BLAS gemm rounds a column
+    differently with the number of columns.  On speed alone the dense form
+    would win up to 6 factors.
     """
     if starts < 1:
         raise ValueError("starts must be at least 1")
@@ -154,15 +255,20 @@ def numeric_search(u: Su2Element, pair: AxisPair, pattern: PatternSpec,
     k = pattern.k
     rng = np.random.default_rng(seed)
     angles = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (starts, k))
+    # A single column would send the sweeps' products through BLAS gemv,
+    # which rounds differently from the gemm that wider arrays take, so a
+    # lone start sweeps as two identical columns.
+    if starts == 1:
+        angles = np.repeat(angles, 2, axis=0)
     # Factor i is V_i = c_i - s_i * (0, axis_i); mats[i] is the left
-    # multiplication by (0, axis_i).  Quaternions are (4, starts) columns.
+    # multiplication by (0, axis_i).  x[i] holds (c_i, s_i), one column per
+    # start, and c[i], s[i] are its views.
     mats = [_left_pure(pair.m if lab is AxisLabel.M else pair.n)
             for lab in pattern.labels()]
-    c = [np.cos(0.5 * angles[:, i]) for i in range(k)]
-    s = [np.sin(0.5 * angles[:, i]) for i in range(k)]
-    target = np.array([[u.w], [u.x], [u.y], [u.z]])
-    identity = np.zeros((4, starts))
-    identity[0] = 1.0
+    x = np.stack([np.cos(0.5 * angles.T), np.sin(0.5 * angles.T)], axis=1)
+    c = list(x[:, 0])
+    s = list(x[:, 1])
+    target = np.array([u.w, u.x, u.y, u.z])
 
     # A row may settle once its per-sweep progress is far below the
     # precision the caller's threshold needs; without a threshold it only
@@ -171,33 +277,19 @@ def numeric_search(u: Su2Element, pair: AxisPair, pattern: PatternSpec,
     if stop_below is not None:
         settle_atol = max(_SWEEP_ATOL, 1e-4 * stop_below * stop_below)
 
-    h = np.zeros(starts)
-    h_prev = np.full(starts, -1.0)
-    settled = np.zeros(starts, dtype=bool)
+    cols = len(angles)
+    h = np.zeros(cols)
+    h_prev = np.full(cols, -1.0)
+    settled = np.zeros(cols, dtype=bool)
     row_sweeps = 0
+    plan = _dense_plan(_overlap_slices(target, mats), x) if k <= _DENSE_MAX_K else None
     for _ in range(_MAX_SWEEPS):
         live = ~settled
-        row_sweeps += int(live.sum())
-        # Suffix products R_i = V_{i-1} ... V_0 from the current angles.
-        suffix = [identity]
-        for i in range(k - 1):
-            suffix.append(c[i] * suffix[i] - s[i] * (mats[i] @ suffix[i]))
-        # Running target T = conj(V_{k-1} ... V_{i+1}) * t.  Since
-        # <p*q, r> = <q, conj(p)*r>, the product's overlap with t is
-        # <R_i, conj(V_i) T> = a*c_i + b*s_i with a = <R_i, T> and
-        # b = <R_i, A_i T>.
-        run = target
-        for i in range(k - 1, -1, -1):
-            turned = mats[i] @ run
-            a_coef = (suffix[i] * run).sum(axis=0)
-            b_coef = (suffix[i] * turned).sum(axis=0)
-            h_new = np.hypot(a_coef, b_coef)
-            # |a*cos + b*sin| is maximised at (cos, sin) = (a, b)/hypot.
-            upd = live & (h_new > 0.0)
-            np.divide(a_coef, h_new, out=c[i], where=upd)
-            np.divide(b_coef, h_new, out=s[i], where=upd)
-            np.copyto(h, h_new, where=live)
-            run = c[i] * run + s[i] * turned
+        row_sweeps += int(live[:starts].sum())
+        if plan is not None:
+            _dense_sweep(plan, live, h)
+        else:
+            _running_sweep(mats, target, c, s, live, h)
         settled |= np.abs(h - h_prev) <= settle_atol
         if settled.all():
             break

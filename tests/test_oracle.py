@@ -9,6 +9,7 @@ import pytest
 from biaxial import (
     AxisLabel,
     AxisPair,
+    Factor,
     IDENTITY,
     InvalidRotationError,
     PatternSpec,
@@ -19,11 +20,12 @@ from biaxial import (
     m_odd_count,
     minimality_certificate,
     numeric_search,
+    replay_factors,
     rot,
     Su2Element,
     worst_case_witness,
 )
-from biaxial.oracle import FEASIBLE_RESIDUAL, INFEASIBLE_RESIDUAL
+from biaxial.oracle import _DENSE_MAX_K, FEASIBLE_RESIDUAL, INFEASIBLE_RESIDUAL
 from biaxial.synthesis import decompose_even, decompose_odd
 from _helpers import (
     bounds_of,
@@ -113,17 +115,35 @@ class TestNumericSearch:
         assert a == b
 
     def test_monotone_in_starts(self):
-        # Rows are independent, so a larger start list only adds rows.
+        # Rows are independent, so a larger start list only adds rows; one
+        # start included, on both sweeps.
         rng = np.random.default_rng(42)
-        m, n = random_pair(rng, 0.4, 0.5 * math.pi)
-        pair = AxisPair.from_axes(m, n)
-        u = random_su2(rng)
-        for k in (2, 3):
-            for first in (AxisLabel.M, AxisLabel.N):
-                spec = PatternSpec(k, first)
-                residuals = [numeric_search(u, pair, spec, starts=s, seed=3).best_residual
-                             for s in (1, 4, 8, 16)]
-                assert all(a >= b for a, b in zip(residuals, residuals[1:])), (spec, residuals)
+        for _ in range(8):
+            m, n = random_pair(rng, 0.4, 0.5 * math.pi)
+            pair = AxisPair.from_axes(m, n)
+            u = random_su2(rng)
+            for k in range(1, _DENSE_MAX_K + 3):
+                for first in (AxisLabel.M, AxisLabel.N):
+                    spec = PatternSpec(k, first)
+                    residuals = [numeric_search(u, pair, spec, starts=s, seed=3).best_residual
+                                 for s in (1, 2, 3, 4, 8, 16, 64)]
+                    assert all(a >= b for a, b in zip(residuals, residuals[1:])), (spec, residuals)
+
+    def test_feasible_searches_settle(self):
+        # Without stop_below a row settles once h stops moving by more than
+        # a float spacing near 1: reachable length-2 targets settle in two
+        # sweeps per start, length-4 ones in well under 1000.
+        rng = np.random.default_rng(7)
+        for k, max_sweeps in ((2, 2), (4, 150)):
+            for _ in range(40):
+                m, n = random_pair(rng, 0.5 * math.pi, 0.5 * math.pi)
+                spec = PatternSpec(k, AxisLabel.M if rng.uniform() < 0.5 else AxisLabel.N)
+                angles = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, k)
+                u = replay_factors([Factor(lab, a) for lab, a in
+                                    zip(reversed(spec.labels()), reversed(angles))], m, n)
+                result = numeric_search(u, AxisPair.from_axes(m, n), spec, starts=8, seed=0)
+                assert result.best_residual <= FEASIBLE_RESIDUAL, (spec, result)
+                assert result.evaluations <= max_sweeps * 8 * k, (spec, result)
 
     def test_zero_overlap_keeps_the_starts(self):
         # (0, 1, 0, 0) is orthogonal to every rotation about z, so every row
@@ -136,8 +156,8 @@ class TestNumericSearch:
         assert result.best_angles[0] == pytest.approx(start[0, 0], abs=1e-12)
 
     def test_matches_two_product_reference(self):
-        # The running-target sweep against the two-product sweep it replaced:
-        # same verdicts at both thresholds, residuals equal to rounding.
+        # Both sweeps against the two-product sweep: same verdicts at both
+        # thresholds, residuals equal to rounding.
         rng = np.random.default_rng(44)
         for delta in (0.5 * math.pi, 1.0, 0.3, 2.5):
             for _ in range(2):
@@ -145,7 +165,8 @@ class TestNumericSearch:
                 pair = AxisPair.from_axes(m, n)
                 u = random_su2(rng)
                 for k, first, stop_below in itertools.product(
-                        (1, 2, 3, 4), (AxisLabel.M, AxisLabel.N), (None, 1e-7, 1e-4)):
+                        range(1, _DENSE_MAX_K + 3), (AxisLabel.M, AxisLabel.N),
+                        (None, 1e-7, 1e-4)):
                     spec = PatternSpec(k, first)
                     got = numeric_search(u, pair, spec, starts=8, seed=k,
                                          stop_below=stop_below).best_residual
