@@ -40,7 +40,6 @@ from .errors import (
     InfeasibleSlabError,
     InvalidAxisError,
     InvalidRotationError,
-    InvalidSlabError,
 )
 from .oracle import (
     PatternSpec,

@@ -4,7 +4,7 @@ Subcommands read one JSON instance (or an array of instances) from a file
 or stdin and write JSON to a file or stdout::
 
     biaxial count      --input inst.json
-    biaxial decompose  --input inst.json [--trim]
+    biaxial decompose  --input inst.json
     biaxial verify     --input pair.json      # {"instance": ..., "certificate": ...}
     biaxial worst-case --input axes.json      # {"m": [...], "n": [...]}
     biaxial oracle     --input inst.json [--starts N] [--seed N]
@@ -94,8 +94,7 @@ def _decomposition_result(dec: Decomposition, tol: Tolerances) -> tuple[int, Any
 
 def _cmd_decompose(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[int, Any]:
     instance = parse_instance(item, tol)
-    dec = decompose_min(instance.target, instance.m, instance.n,
-                        trim=args.trim, tol=tol)
+    dec = decompose_min(instance.target, instance.m, instance.n, tol=tol)
     return _decomposition_result(dec, tol)
 
 
@@ -117,8 +116,8 @@ def _cmd_verify(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[i
     residual_ok = ver.residual <= min(declared + VERIFY_SLACK, tol.recon)
     bounds_ok = (ver.nonempty and ver.alternates and geodesic_bound_check(
         ver.product, dec.pair, PatternSpec(dec.count, dec.factors[-1].label), tol).passed)
-    # Claims against the factors and a fresh analysis (trim only shortens).
-    claims_ok = (cert.count == dec.count <= report.n_min
+    # Claims against the factors and a fresh analysis.
+    claims_ok = (cert.count == dec.count == report.n_min
                  and all(getattr(cert.report, key) == getattr(report, key)
                          for key in REPORT_CLAIMS)
                  and cert.parity == report.chosen_parity
@@ -186,9 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", default="-", help="output file or - for stdout")
         p.add_argument("--tol", type=float, default=None,
                        help="override all tolerances with one value")
-        if name == "decompose":
-            p.add_argument("--trim", action="store_true",
-                           help="elide zero-angle factors at the sequence ends")
         if name == "oracle":
             p.add_argument("--starts", type=int, default=64)
             p.add_argument("--seed", type=int, default=0)

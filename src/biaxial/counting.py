@@ -143,7 +143,9 @@ class AxisPair:
         dot = float(m @ n)
         if abs(dot) >= 1.0 - tol.parallel:
             raise AxesParallelError(
-                f"axes are parallel within tolerance (|m.n| = {abs(dot):.12g})")
+                f"axes are parallel within tolerance (|m.n| = {abs(dot):.12g}); "
+                f"gaps below sqrt(2*tol.parallel) = "
+                f"{math.sqrt(2.0 * tol.parallel):.3g} rad are rejected")
         flipped = dot < 0.0
         if flipped:
             m = -m

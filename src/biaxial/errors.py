@@ -18,9 +18,6 @@ class AxesParallelError(BiaxialError):
     """The two rotation axes are parallel or anti-parallel within tolerance."""
 
 
-class InvalidSlabError(BiaxialError):
-    """Middle-angle slab lies outside the admissible range."""
-
-
 class InfeasibleSlabError(BiaxialError):
-    """Slab exceeds twice the axis gap and cannot be realised by one m-n-m triple."""
+    """Slab lies outside ``[0, 2*delta]``, or the gap outside ``(0, pi/2]``,
+    so no one m-n-m triple realises it."""

@@ -6,13 +6,15 @@ is realised by one m-n-m triple with angles in closed form.  Chaining the
 triples and merging adjacent same-axis rotations yields a sequence whose
 length is the count from :mod:`biaxial.counting`'s rule, passed in.
 
-Every slab but the first and the last is a full ``2*delta``, so a chain is
-built run-length encoded: a head, one two-angle block repeated, and a
-tail, from at most three slab solutions.  Reversal, relabelling for the
-caller's axes, trimming and angle reduction are applied to those few
-distinct angles; the factor tuple is then spelled out with one shared
-``Factor`` per block angle and replayed once (twice only when the first
-product lands on the other lift of the target).  The replay stays the
+Every slab but the last is a full ``2*delta``, realised exactly by the
+triple ``(0, pi, pi)``, so every pair of angles between two full slabs is
+the half-turn pair ``n: pi, m: -pi`` (whose product is
+``rot(l, 2*delta)``).  A chain is therefore built run-length encoded from
+its last slab's solution alone: a head, that constant block repeated, and
+a tail.  Reversal, relabelling for the caller's axes and angle reduction
+are applied to those few distinct angles; the factor tuple is then spelled
+out with one shared ``Factor`` per block angle and replayed once (twice
+only when the first product lands on the other lift of the target).  The replay stays the
 sequential fold, but computes each distinct factor's rotation once, so one
 ``decompose_min`` call costs one multiply per factor of a chain of about
 ``pi/delta`` factors and no other per-factor work but building the tuple.
@@ -47,16 +49,14 @@ from .core import (
     rot,
     unit_axis,
 )
-from .errors import InfeasibleSlabError, InvalidSlabError
+from .errors import InfeasibleSlabError
 
 __all__ = [
     "AxisLabel",
     "Factor",
     "Decomposition",
     "VerificationReport",
-    "h_param",
     "solve_triple",
-    "plan_odd",
     "decompose_odd",
     "decompose_even",
     "decompose_even_reversed",
@@ -97,8 +97,8 @@ class Decomposition:
     target with exact quaternion sign up to ``residual``.  ``parity`` is
     stated in the governing (normalized) axis order; ``swapped`` marks a
     governing order that exchanged m and n, so the caller-visible label
-    order is reversed.  ``slabs`` are the middle-angle slabs the chain
-    realises, one m-n-m triple each.  ``report`` is the analysis
+    order is reversed.  ``beta_prime`` is the even constructions'
+    auxiliary middle angle.  ``report`` is the analysis
     :func:`decompose_min` ran; the per-parity constructions run none and are
     never swapped.
     """
@@ -110,7 +110,6 @@ class Decomposition:
     pair: AxisPair
     parity: str
     residual: float
-    slabs: tuple[float, ...] = ()
     beta_prime: float | None = None
     report: CountReport | None = None
     swapped: bool = False
@@ -132,82 +131,49 @@ class VerificationReport:
     ok: bool
 
 
-def h_param(beta_tilde: float, delta: float, t: float,
-            tol: Tolerances = DEFAULT_TOL) -> float:
-    """Free-parameter family for the slab triple angles.
-
-    Zero when the slab is strictly interior at a right-angle gap, the free
-    value ``t`` at the fully degenerate corner, and
-    ``arcsin(tan(beta_tilde/2) / tan(delta))`` otherwise.
-    """
-    if not (0.0 < delta <= 0.5 * math.pi + tol.angle):
-        raise InvalidSlabError(f"axis gap {delta!r} outside (0, pi/2]")
-    if beta_tilde < -tol.angle or beta_tilde > 2.0 * delta + 2.0 * tol.angle:
-        raise InvalidSlabError(
-            f"slab {beta_tilde!r} outside [0, 2*delta] for delta {delta!r}")
-    if abs(delta - 0.5 * math.pi) <= tol.angle:
-        if 0.5 * beta_tilde < delta - tol.angle:
-            return 0.0
-        return t
-    ratio = math.tan(0.5 * beta_tilde) / math.tan(delta)
-    return math.asin(min(1.0, max(-1.0, ratio)))
-
-
-def solve_triple(beta_j: float, delta: float, t: float = 0.0,
+def solve_triple(beta_j: float, delta: float,
                  tol: Tolerances = DEFAULT_TOL) -> TripleSolution:
     """Angles (alpha_j, gamma_j, theta_j) realising one slab:
 
         rot(l, beta_j) = rot(m, -alpha_j) * rot(n, theta_j) * rot(m, -gamma_j)
 
-    for orthogonal l, m and ``n = sin(delta) l x m + cos(delta) m``.  ``t``
-    is read only at the fully degenerate corner (see :func:`h_param`).
+    for orthogonal l, m and ``n = sin(delta) l x m + cos(delta) m``.  With
+    ``h = arcsin(tan(beta_j/2) / tan(delta))``, or 0 at a right-angle gap,
+    ``alpha_j = h - pi/2`` and ``gamma_j = h + pi/2``.  Off a right-angle gap
+    a full slab ``2*delta`` has both ratios exactly 1, so its triple is
+    exactly ``(0, pi, pi)``.  Raises ``InfeasibleSlabError`` for a gap
+    outside ``(0, pi/2]`` or a slab outside ``[0, 2*delta]``.
     """
+    if not (0.0 < delta <= 0.5 * math.pi + tol.angle):
+        raise InfeasibleSlabError(f"axis gap {delta!r} outside (0, pi/2]")
     if beta_j > 2.0 * delta + tol.angle:
         raise InfeasibleSlabError(
             f"slab {beta_j!r} exceeds twice the axis gap {delta!r}")
     if beta_j < -tol.angle:
         raise InfeasibleSlabError(f"slab {beta_j!r} is negative")
-    h = h_param(min(beta_j, 2.0 * delta), delta, t, tol)
+    if abs(delta - 0.5 * math.pi) <= tol.angle:
+        h = 0.0
+    else:
+        ratio = math.tan(0.5 * min(beta_j, 2.0 * delta)) / math.tan(delta)
+        h = math.asin(min(1.0, max(-1.0, ratio)))
     s = 2.0 * math.asin(min(1.0, max(-1.0, math.sin(0.5 * beta_j) / math.sin(delta))))
     return TripleSolution(h - 0.5 * math.pi, h + 0.5 * math.pi, s)
 
 
-def _slab_schedule(total: float, delta: float, k: int) -> tuple[float, ...]:
-    """k slabs of 2*delta except a trailing remainder, clipped into (0, 2*delta].
+def _last_slab(total: float, delta: float, k: int) -> float:
+    """Last of the ``k >= 1`` slabs that cut ``total`` into full ``2*delta``
+    slabs and a trailing remainder, clipped to at most ``2*delta``.
 
     A remainder within 1e-12 of a full slab is snapped onto it: the slab
     angle solutions degrade like sqrt of the distance to the full-slab
     boundary, so a one-ulp shortfall would otherwise cost ~1e-8 of
     reconstruction accuracy while the snap costs at most 5e-13.
     """
-    if k <= 0:
-        return ()
     full = 2.0 * delta
     remainder = total - full * (k - 1)
     if remainder >= full or abs(remainder - full) <= 1e-12:
-        remainder = full
-    return (full,) * (k - 1) + (remainder,)
-
-
-def plan_odd(beta: float, delta: float, count: int) -> tuple[float, ...]:
-    """The ``(count - 1) / 2`` slabs of an odd chain, all but the last
-    ``2*delta``."""
-    return _slab_schedule(beta, delta, (count - 1) // 2)
-
-
-def _plan_even(beta_prime: float, delta: float, count: int,
-               merged: bool) -> tuple[float, ...]:
-    """Slabs of ``beta_prime + delta`` for an even chain of ``count``.
-
-    A merged chain has ``count / 2`` slabs; its first, pinned to
-    ``2*delta`` and solved with free parameter pi/2, zeroes the leading
-    m-angle so the two leading n-rotations merge.  An unmerged chain is
-    the four-factor fallback: one slab.
-    """
-    if merged:
-        return (2.0 * delta,) + _slab_schedule(
-            beta_prime + delta - 2.0 * delta, delta, count // 2 - 1)
-    return (beta_prime + delta,)
+        return full
+    return remainder
 
 
 class _Chain(NamedTuple):
@@ -227,7 +193,6 @@ class _Chain(NamedTuple):
     angles: tuple[float, ...]
     at: int
     extra: int
-    slabs: tuple[float, ...]
     beta_prime: float | None
 
 
@@ -239,41 +204,32 @@ def _blocked(head: tuple[float, ...], block: tuple[float, float], reps: int,
     return head + block + tail, len(head), reps - 1
 
 
-def _solve_run(slabs: tuple[float, ...], delta: float, tol: Tolerances,
-               start: int) -> tuple[TripleSolution, TripleSolution]:
-    """Triples of ``slabs[start]`` (the run of full slabs) and of the last
-    slab, both with free parameter 0; a last slab equal to the run's is
-    solved once."""
-    last = solve_triple(slabs[-1], delta, 0.0, tol)
-    if slabs[start] == slabs[-1]:
-        return last, last
-    return solve_triple(slabs[start], delta, 0.0, tol), last
-
-
 def _odd_chain(u: Su2Element, pair: AxisPair, tol: Tolerances,
                count: int | None = None) -> _Chain:
     """Raw angles of the odd construction m, n, m, ..., m of ``count``
     factors (default: the odd rule on the middle Euler angle).
 
-    Every slab but the last is full, so the chain is one full-slab triple
-    repeated, joined to the last slab's: three angles per slab, with the
-    m-angles between two slabs merged.
+    The middle angle is cut into ``(count - 1) / 2`` slabs, all but the
+    last a full ``2*delta`` with triple ``(0, pi, pi)``: three angles per
+    slab, with the m-angles between two slabs merged, so every pair between
+    two full slabs is the half-turn pair ``(pi, -pi)``.  Only the last slab
+    is solved.
     """
     delta = pair.delta
     alpha, beta, gamma = generalized_euler(u, pair, tol)
     if count is None:
         count = m_odd_count(beta, delta, tol)
-    slabs = plan_odd(beta, delta, count)
-    if not slabs:
-        return _Chain(AxisLabel.M, (alpha + gamma,), 0, 0, slabs, None)
-    full, last = _solve_run(slabs, delta, tol, 0)
-    if len(slabs) == 1:
+    k = (count - 1) // 2
+    if k <= 0:
+        return _Chain(AxisLabel.M, (alpha + gamma,), 0, 0, None)
+    last = solve_triple(_last_slab(beta, delta, k), delta, tol)
+    if k == 1:
         angles = (alpha - last.alpha, last.theta, -last.gamma + gamma)
-        return _Chain(AxisLabel.M, angles, 0, 0, slabs, None)
+        return _Chain(AxisLabel.M, angles, 0, 0, None)
     angles, at, extra = _blocked(
-        (alpha - full.alpha,), (full.theta, -full.gamma - full.alpha), len(slabs) - 2,
-        (full.theta, -full.gamma - last.alpha, last.theta, -last.gamma + gamma))
-    return _Chain(AxisLabel.M, angles, at, extra, slabs, None)
+        (alpha,), (math.pi, -math.pi), k - 2,
+        (math.pi, -math.pi - last.alpha, last.theta, -last.gamma + gamma))
+    return _Chain(AxisLabel.M, angles, at, extra, None)
 
 
 def _even_chain(u: Su2Element, pair: AxisPair, tol: Tolerances,
@@ -281,39 +237,38 @@ def _even_chain(u: Su2Element, pair: AxisPair, tol: Tolerances,
     """Raw angles of the even construction n, m, ..., n, m of ``count``
     factors (default: the even rule on the shifted middle Euler angle).
 
-    A merged chain is the pinned first slab's triple, then a run of full
-    slabs and the last slab, as in :func:`_odd_chain`.
+    ``beta_prime + delta`` is cut into slabs.  A merged chain has ``count /
+    2`` of them: the first is pinned to a full ``2*delta`` with triple
+    ``(0, pi, pi)``, whose zero m-angle lets the two leading n-rotations
+    merge, and the rest are full slabs and the last, as in
+    :func:`_odd_chain`.  An unmerged chain is the four-factor fallback: one
+    slab.  Only the last slab is solved; the pinned slab never is.
     """
     delta = pair.delta
     shifted = compose(rot(pair.l, -delta, tol), u, tol)
     ap, bp, gp = generalized_euler(shifted, pair, tol)
     if count is None:
         count, merged = even_count(bp, delta, tol), reaches_gap(bp, delta, tol)
-    slabs = _plan_even(bp, delta, count, merged)
     if not merged:
-        trip = solve_triple(slabs[0], delta, 0.0, tol)
+        trip = solve_triple(bp + delta, delta, tol)
         angles = (ap, -trip.alpha, trip.theta, -trip.gamma + gp)
-        return _Chain(AxisLabel.N, angles, 0, 0, slabs, bp)
-    pinned = solve_triple(slabs[0], delta, 0.5 * math.pi, tol)
-    if len(slabs) == 1:
-        angles = (ap + pinned.theta, -pinned.gamma + gp)
-        return _Chain(AxisLabel.N, angles, 0, 0, slabs, bp)
-    full, last = _solve_run(slabs, delta, tol, 1)
-    if len(slabs) == 2:
-        angles = (ap + pinned.theta, -pinned.gamma - last.alpha, last.theta,
-                  -last.gamma + gp)
-        return _Chain(AxisLabel.N, angles, 0, 0, slabs, bp)
+        return _Chain(AxisLabel.N, angles, 0, 0, bp)
+    k = count // 2
+    if k == 1:
+        return _Chain(AxisLabel.N, (ap + math.pi, -math.pi + gp), 0, 0, bp)
+    # The pinned slab comes off the total bp + delta, in that order: bp - delta
+    # would round differently.
+    last = solve_triple(_last_slab(bp + delta - 2.0 * delta, delta, k - 1), delta, tol)
     angles, at, extra = _blocked(
-        (ap + pinned.theta, -pinned.gamma - full.alpha, full.theta),
-        (-full.gamma - full.alpha, full.theta), len(slabs) - 3,
-        (-full.gamma - last.alpha, last.theta, -last.gamma + gp))
-    return _Chain(AxisLabel.N, angles, at, extra, slabs, bp)
+        (ap + math.pi,), (-math.pi, math.pi), k - 2,
+        (-math.pi - last.alpha, last.theta, -last.gamma + gp))
+    return _Chain(AxisLabel.N, angles, at, extra, bp)
 
 
 def _finish(chain: _Chain, u: Su2Element, pair: AxisPair, parity: str,
             axis_m: np.ndarray, axis_n: np.ndarray, tol: Tolerances, *,
             reverse: bool = False, swapped: bool = False,
-            m_flipped: bool = False, trim: bool = False,
+            m_flipped: bool = False,
             report: CountReport | None = None) -> Decomposition:
     """Turn a raw chain into the reported factors and replay them.
 
@@ -321,11 +276,10 @@ def _finish(chain: _Chain, u: Su2Element, pair: AxisPair, parity: str,
     ``(-2*pi, 2*pi]``; with ``reverse``, reverse the list and negate every
     angle (a chain for ``inverse(u)`` becomes one for ``u``); with
     ``swapped``, exchange the labels; with ``m_flipped``, negate the
-    m-angles (a rotation about -m by theta is one about m by -theta); with
-    ``trim``, drop zero-angle ends; reduce again.  The transforms act on the
-    chain's distinct angles only (a repeated block is transformed once), and
-    the factors are then spelled out with one shared ``Factor`` per block
-    angle.  The result is replayed once about ``axis_m`` and ``axis_n``.
+    m-angles (a rotation about -m by theta is one about m by -theta); reduce
+    again.  The transforms act on the chain's distinct angles only (a
+    repeated block is transformed once), and the factors are then spelled
+    out with one shared ``Factor`` per block angle.  The result is replayed once about ``axis_m`` and ``axis_n``.
     Only if the product lands on the other lift of ``u`` does the chain's
     first factor gain 2*pi, which flips the product's sign exactly, and the
     transforms and the replay run again.
@@ -346,20 +300,6 @@ def _finish(chain: _Chain, u: Su2Element, pair: AxisPair, parity: str,
         if m_flipped:
             start = 0 if first is AxisLabel.M else 1
             angles[start::2] = [-a for a in angles[start::2]]
-        if trim:
-            lo, hi = 0, len(angles)
-            while lo < hi and abs(angles[lo]) <= tol.angle:
-                lo += 1
-            while hi > lo and abs(angles[hi - 1]) <= tol.angle:
-                hi -= 1
-            # Only gaps below pi/2 repeat a block, and there a full slab's
-            # sine and tangent ratios are exactly 1: its triple is
-            # (0, pi, pi) and the block (pi, -pi) up to sign, never zero.
-            assert not extra or (lo <= at and hi >= at + 2)
-            if lo % 2:
-                first = first.other
-            angles = angles[lo:hi]
-            at -= lo
         labels = (first, first.other)
         factors = tuple([Factor(labels[i & 1], normalize_angle(a))
                          for i, a in enumerate(angles)])
@@ -371,9 +311,8 @@ def _finish(chain: _Chain, u: Su2Element, pair: AxisPair, parity: str,
             break
     return Decomposition(factors=factors, target=u, axis_m=axis_m,
                          axis_n=axis_n, pair=pair, parity=parity,
-                         residual=residual, slabs=chain.slabs,
-                         beta_prime=chain.beta_prime, report=report,
-                         swapped=swapped)
+                         residual=residual, beta_prime=chain.beta_prime,
+                         report=report, swapped=swapped)
 
 
 def replay_factors(factors: Sequence[Factor], axis_m, axis_n,
@@ -450,8 +389,9 @@ def decompose_even(u: Su2Element, pair: AxisPair,
     Shifts the target by ``rot(l, -delta)`` to obtain the auxiliary triple
     (alpha', beta', gamma'); when ``beta'`` reaches the gap the leading
     m-angle is zeroed and the two leading n-rotations merge, giving
-    ``2*ceil(beta'/(2*delta) + 1/2)`` factors, else four.  The first slab's
-    free parameter is pinned to pi/2 (the merge needs it).
+    ``2*ceil(beta'/(2*delta) + 1/2)`` factors, else four.  The merge pins
+    the first slab to a full ``2*delta``, whose triple ``(0, pi, pi)`` has
+    the zero m-angle it needs.
     """
     chain = _even_chain(u, pair, tol)
     return _finish(chain, u, pair, "even-mn", pair.m, pair.n, tol)
@@ -469,18 +409,14 @@ def decompose_even_reversed(u: Su2Element, pair: AxisPair,
     return _finish(chain, u, pair, "even-nm", pair.m, pair.n, tol, reverse=True)
 
 
-def decompose_min(u: Su2Element, m_raw, n_raw, trim: bool = False,
+def decompose_min(u: Su2Element, m_raw, n_raw,
                   tol: Tolerances = DEFAULT_TOL) -> Decomposition:
     """Optimal factor sequence for ``u`` about the caller's raw axes.
 
     Builds the analysed parity's one closed-form chain of the analysed
     count (each slab has a single solution), then maps factor labels and
     angle signs back from the normalized governing axes to the axes as
-    given.  With ``trim`` set, zero-angle factors at the ends are elided;
-    a minimal chain has a zero end only when it is the one factor of a
-    target within about 1e-12 of +-identity, so trimming takes exactly
-    those chains from 1 factor to 0 and leaves every other chain as it
-    is.  The factors are replayed once (twice when the first replay lands
+    given.  The factors are replayed once (twice when the first replay lands
     on the other lift), and the analysis is returned as ``report``.
     """
     analysis = analyze(u, m_raw, n_raw, tol)
@@ -496,7 +432,7 @@ def decompose_min(u: Su2Element, m_raw, n_raw, trim: bool = False,
     return _finish(chain, u, analysis.pair, parity,
                    np.asarray(m_raw, dtype=float), np.asarray(n_raw, dtype=float),
                    tol, reverse=parity == "even-nm", swapped=governing.swapped,
-                   m_flipped=analysis.pair.m_flipped, trim=trim, report=report)
+                   m_flipped=analysis.pair.m_flipped, report=report)
 
 
 def verify_decomposition(d: Decomposition, tol: Tolerances = DEFAULT_TOL) -> VerificationReport:

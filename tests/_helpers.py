@@ -225,27 +225,75 @@ def bounds_of(dec):
                                 PatternSpec(dec.count, dec.factors[-1].label))
 
 
+def slab_schedule(total: float, delta: float, k: int) -> tuple[float, ...]:
+    """k slabs of 2*delta except a trailing remainder, clipped into (0, 2*delta].
+
+    A remainder within 1e-12 of a full slab is snapped onto it.  This is
+    the whole slab plan the run-length chains replaced, kept here so the
+    reference chain does not read the code under test.
+    """
+    if k <= 0:
+        return ()
+    full = 2.0 * delta
+    remainder = total - full * (k - 1)
+    if remainder >= full or abs(remainder - full) <= 1e-12:
+        remainder = full
+    return (full,) * (k - 1) + (remainder,)
+
+
+def plan_odd(beta: float, delta: float, count: int) -> tuple[float, ...]:
+    """The ``(count - 1) / 2`` slabs of an odd chain, all but the last
+    ``2*delta``."""
+    return slab_schedule(beta, delta, (count - 1) // 2)
+
+
+def plan_even(beta_prime: float, delta: float, count: int,
+              merged: bool) -> tuple[float, ...]:
+    """Slabs of ``beta_prime + delta`` for an even chain of ``count``.
+
+    A merged chain has ``count / 2`` slabs, the first pinned to
+    ``2*delta``; an unmerged chain is the four-factor fallback: one slab.
+    """
+    if merged:
+        return (2.0 * delta,) + slab_schedule(
+            beta_prime + delta - 2.0 * delta, delta, count // 2 - 1)
+    return (beta_prime + delta,)
+
+
+def pinned_triple(delta: float, tol=DEFAULT_TOL):
+    """Triple of the even chain's pinned first slab ``2*delta``, with
+    ``h = pi/2`` as the merge needs: ``solve_triple``'s own off a
+    right-angle gap, where ``h = arcsin(1)``, and rebuilt from ``h = pi/2``
+    at a right-angle gap, where ``solve_triple`` takes ``h = 0``."""
+    trip = biaxial.synthesis.solve_triple(2.0 * delta, delta, tol)
+    if abs(delta - 0.5 * math.pi) <= tol.angle:
+        h = 0.5 * math.pi
+        trip = trip._replace(alpha=h - 0.5 * math.pi, gamma=h + 0.5 * math.pi)
+    return trip
+
+
 def reference_chain(u: Su2Element, pair, parity: str, count: int | None = None,
                     merged: bool | None = None, tol=DEFAULT_TOL):
     """Raw chain of one construction, spelled out slab by slab.
 
-    Plans the slabs with ``plan_odd`` or ``_plan_even`` and solves every
-    slab with its own ``solve_triple`` call (looked up on the module, so a
-    patched solver is used here too).  ``count`` and ``merged`` default to
-    the rule on the chain's own Euler angle, as in the per-parity
-    constructions.  Returns ``(first label, angles, slabs, beta_prime)``;
-    the angles are not yet reduced.
+    Plans the slabs with :func:`plan_odd` or :func:`plan_even` and solves
+    every slab with its own ``solve_triple`` call (looked up on the module,
+    so a patched solver is used here too), the pinned slab through
+    :func:`pinned_triple`.  ``count`` and ``merged`` default to the rule on
+    the chain's own Euler angle, as in the per-parity constructions.
+    Returns ``(first label, angles, slabs, beta_prime)``; the angles are
+    not yet reduced.
     """
-    synthesis = biaxial.synthesis
+    solve = biaxial.synthesis.solve_triple
     delta = pair.delta
     if parity == "odd":
         alpha, beta, gamma = generalized_euler(u, pair, tol)
         if count is None:
             count = m_odd_count(beta, delta, tol)
-        slabs = synthesis.plan_odd(beta, delta, count)
+        slabs = plan_odd(beta, delta, count)
         if not slabs:
             return AxisLabel.M, [alpha + gamma], slabs, None
-        trips = [synthesis.solve_triple(s, delta, 0.0, tol) for s in slabs]
+        trips = [solve(s, delta, tol) for s in slabs]
         angles = [alpha - trips[0].alpha]
         for trip, nxt in zip(trips, trips[1:]):
             angles += [trip.theta, -trip.gamma - nxt.alpha]
@@ -258,12 +306,11 @@ def reference_chain(u: Su2Element, pair, parity: str, count: int | None = None,
         count = even_count(bp, delta, tol)
     if merged is None:
         merged = reaches_gap(bp, delta, tol)
-    slabs = synthesis._plan_even(bp, delta, count, merged)
-    trips = [synthesis.solve_triple(s, delta, 0.5 * math.pi if j == 0 and merged else 0.0, tol)
-             for j, s in enumerate(slabs)]
+    slabs = plan_even(bp, delta, count, merged)
     if not merged:
-        trip = trips[0]
+        trip = solve(slabs[0], delta, tol)
         return AxisLabel.N, [ap, -trip.alpha, trip.theta, -trip.gamma + gp], slabs, bp
+    trips = [pinned_triple(delta, tol)] + [solve(s, delta, tol) for s in slabs[1:]]
     angles = [ap + trips[0].theta]
     for prev, trip in zip(trips, trips[1:]):
         angles += [-prev.gamma - trip.alpha, trip.theta]
@@ -272,15 +319,14 @@ def reference_chain(u: Su2Element, pair, parity: str, count: int | None = None,
 
 
 def reference_factors(chain, u: Su2Element, axis_m, axis_n, *, reverse=False,
-                      swapped=False, m_flipped=False, trim=False, tol=DEFAULT_TOL):
+                      swapped=False, m_flipped=False, tol=DEFAULT_TOL):
     """Reported factors of a :func:`reference_chain`, one angle at a time.
 
     Reduces every angle, reverses and negates the list, exchanges the
-    labels, negates the m-angles, drops zero-angle ends and reduces again,
-    in that order and each step only when asked; every factor is its own
-    ``Factor``.  When the product lands nearer the other lift of ``u``, the
-    first raw angle gains 2*pi and the steps run again.  Returns
-    ``(factors, residual)``.
+    labels, negates the m-angles and reduces again, in that order and each
+    step only when asked; every factor is its own ``Factor``.  When the
+    product lands nearer the other lift of ``u``, the first raw angle gains
+    2*pi and the steps run again.  Returns ``(factors, residual)``.
     """
     first_label, raw, _, _ = chain
     reduced = [normalize_angle(a) for a in raw]
@@ -298,12 +344,6 @@ def reference_factors(chain, u: Su2Element, axis_m, axis_n, *, reverse=False,
         if m_flipped:
             angles = [-a if (first if i % 2 == 0 else first.other) is AxisLabel.M else a
                       for i, a in enumerate(angles)]
-        if trim:
-            while angles and abs(angles[0]) <= tol.angle:
-                angles.pop(0)
-                first = first.other
-            while angles and abs(angles[-1]) <= tol.angle:
-                angles.pop()
         factors = [Factor(first if i % 2 == 0 else first.other, normalize_angle(a))
                    for i, a in enumerate(angles)]
         prod = replay_factors(factors, axis_m, axis_n, tol)
@@ -312,7 +352,7 @@ def reference_factors(chain, u: Su2Element, axis_m, axis_n, *, reverse=False,
             return factors, residual
 
 
-def reference_decompose_min(u: Su2Element, m, n, trim=False, tol=DEFAULT_TOL):
+def reference_decompose_min(u: Su2Element, m, n, tol=DEFAULT_TOL):
     """``(factors, residual)`` of ``decompose_min`` from the slab-by-slab
     reference: the analysed parity's chain on the governing pair, relabelled
     for the caller's axes."""
@@ -323,7 +363,7 @@ def reference_decompose_min(u: Su2Element, m, n, trim=False, tol=DEFAULT_TOL):
     return reference_factors(chain, u, np.asarray(m, dtype=float), np.asarray(n, dtype=float),
                              reverse=report.chosen_parity == "even-nm",
                              swapped=governing.swapped, m_flipped=analysis.pair.m_flipped,
-                             trim=trim, tol=tol)
+                             tol=tol)
 
 
 def hex_factors(factors) -> list[tuple[str, str]]:

@@ -1,5 +1,6 @@
 """The public names each layer module lists in ``__all__``, the packages
-the library imports, and the CLI flags README documents.
+the library imports, and the CLI flags and the ``decompose_min`` parameters
+README documents.
 
 The benchmark's tracer calls ``getattr`` on every ``__all__`` entry of these
 modules, so a stale entry breaks every traced run, and its per-layer metrics
@@ -9,6 +10,7 @@ count calls of the functions named below.
 import argparse
 import ast
 import importlib
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -86,3 +88,19 @@ def test_readme_synopsis_matches_parser():
                if opt.startswith("--") and opt != "--help"}
         for name, p in sub.choices.items()}
     assert _readme_synopsis() == parser_flags
+
+
+def test_readme_decompose_min_parameters_match_signature():
+    # README's "`decompose_min(...)`" lists each parameter as ``name`` or
+    # ``name=DEFAULT``, with the default named in the package namespace.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    documented = re.search(r"`decompose_min\(([^)]*)\)`",
+                           readme.read_text(encoding="utf-8")).group(1)
+    params = list(inspect.signature(biaxial.decompose_min).parameters.values())
+    entries = [entry.partition("=") for entry in documented.split(", ")]
+    assert [name for name, _, _ in entries] == [p.name for p in params]
+    for (name, _, default), p in zip(entries, params):
+        if default:
+            assert getattr(biaxial, default) is p.default, name
+        else:
+            assert p.default is inspect.Parameter.empty, name

@@ -90,12 +90,6 @@ class TestDecompose:
         assert code == 0
         assert out["factors"] == [{"axis": "m", "angle": 0.0}]
 
-    def test_trim_flag(self, tmp_path, capsys):
-        payload = {"m": EZ, "n": EX, "target": {"su2": [1.0, 0.0, 0.0, 0.0]}}
-        code, out = run_cli(tmp_path, capsys, "decompose", payload, ["--trim"])
-        assert code == 0
-        assert out["factors"] == []
-
     def test_nan_axis_exit_code(self, tmp_path, capsys):
         payload = {"m": [math.nan, 0.0, 1.0], "n": EX,
                    "target": {"su2": [1.0, 0.0, 0.0, 0.0]}}
@@ -181,15 +175,20 @@ class TestVerify:
         assert not out["ok"]
 
     def test_empty_factor_certificate(self, tmp_path, capsys):
+        # The identity's one zero-angle factor dropped: the empty product
+        # is the target, but an empty list fails the bounds and its count
+        # 0 is below n_min.
         inst = {"m": EZ, "n": EX, "target": {"su2": [1.0, 0.0, 0.0, 0.0]}}
-        code, cert = run_cli(tmp_path, capsys, "decompose", inst, ["--trim"])
+        code, cert = run_cli(tmp_path, capsys, "decompose", inst)
         assert code == 0
-        assert cert["factors"] == []
+        assert cert["factors"] == [{"axis": "m", "angle": 0.0}]
+        cert.update(factors=[], count=0)
         code, out = run_cli(tmp_path, capsys, "verify",
                             {"instance": inst, "certificate": cert})
         assert code == 1
         assert out["residual_ok"]
         assert not out["bounds_ok"]
+        assert not out["claims_ok"]
 
     def test_one_factor_certificate_about_a_non_canonical_axis(self, tmp_path, capsys):
         m = [0.4717, -0.8012, 0.3681]
@@ -251,8 +250,8 @@ class TestVerifyClaims:
     """``verify`` reads a certificate's count, parity and report against its
     factor list and a fresh analysis of the instance."""
 
-    def _pair(self, tmp_path, capsys, inst, extra=None):
-        code, cert = run_cli(tmp_path, capsys, "decompose", inst, extra)
+    def _pair(self, tmp_path, capsys, inst):
+        code, cert = run_cli(tmp_path, capsys, "decompose", inst)
         assert code == 0
         return {"instance": inst, "certificate": cert}
 
@@ -315,9 +314,8 @@ class TestVerifyClaims:
         assert out["residual_ok"]
         assert not out["claims_ok"]
 
-    @pytest.mark.parametrize("extra", [None, ["--trim"]])
-    def test_decompose_certificates_pass(self, tmp_path, capsys, extra):
-        pairs = [self._pair(tmp_path, capsys, inst, extra) for inst in batch(6)]
+    def test_decompose_certificates_pass(self, tmp_path, capsys):
+        pairs = [self._pair(tmp_path, capsys, inst) for inst in batch(6)]
         code, out = run_cli(tmp_path, capsys, "verify", pairs)
         assert code == 0
         assert all(o["claims_ok"] and o["ok"] for o in out)

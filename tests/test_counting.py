@@ -319,8 +319,7 @@ class TestCountMin:
         for _ in range(200):
             delta = rng.uniform(0.1, 0.5 * math.pi)
             beta_j = rng.uniform(1e-3, 2.0 * delta)
-            t = rng.uniform(-2.0, 2.0)
-            alpha_j, gamma_j, theta_j = solve_triple(beta_j, delta, t)
+            alpha_j, gamma_j, theta_j = solve_triple(beta_j, delta)
             assert f_angle(alpha_j, beta_j, delta) == pytest.approx(delta, abs=1e-9)
 
 
@@ -448,12 +447,13 @@ class TestLowenthal:
 
     def test_antiparallel_within_tolerance_message(self):
         # lowenthal_bound admits its axes through AxisPair.from_axes; the
-        # error type and message are those of the admission it replaced.
+        # message names |m.n| and the gap floor that the rule implies.
         n = [math.sin(1e-5), 0.0, -math.cos(1e-5)]
         with pytest.raises(AxesParallelError) as info:
             lowenthal_bound(EZ, n)
         assert str(info.value) == (
-            "axes are parallel within tolerance (|m.n| = 0.99999999995)")
+            "axes are parallel within tolerance (|m.n| = 0.99999999995); "
+            "gaps below sqrt(2*tol.parallel) = 4.47e-05 rad are rejected")
 
 
 class TestGapConditioning:

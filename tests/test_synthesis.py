@@ -15,7 +15,6 @@ from biaxial import (
     InfeasibleSlabError,
     InvalidAxisError,
     InvalidRotationError,
-    InvalidSlabError,
     compose,
     count_min,
     decompose_min,
@@ -37,14 +36,12 @@ from biaxial.synthesis import (
     decompose_even,
     decompose_even_reversed,
     decompose_odd,
-    h_param,
-    plan_odd,
 )
 import biaxial.synthesis as synthesis
-from biaxial.counting import analyze
-from _helpers import (count_replay_calls, hex_factors, random_axis, random_pair,
-                      random_su2, reference_chain, reference_decompose_min,
-                      reference_factors)
+from biaxial.counting import analyze, reaches_gap
+from _helpers import (count_replay_calls, hex_factors, plan_odd, random_axis,
+                      random_pair, random_su2, reference_chain,
+                      reference_decompose_min, reference_factors)
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -62,22 +59,30 @@ def axes_for(pair: AxisPair):
 
 
 class TestHParam:
-    def test_interior_slab_at_right_angle_gap(self):
-        assert h_param(0.5 * math.pi, 0.5 * math.pi, t=0.7) == 0.0
+    """``solve_triple``'s ``h``, read back as ``alpha + pi/2``."""
 
-    def test_degenerate_corner_returns_t(self):
-        assert h_param(math.pi, 0.5 * math.pi, t=0.7) == 0.7
+    def test_interior_slab_at_right_angle_gap(self):
+        trip = solve_triple(0.5 * math.pi, 0.5 * math.pi)
+        assert (trip.alpha, trip.gamma) == (-0.5 * math.pi, 0.5 * math.pi)
+
+    def test_full_slab_at_right_angle_gap_takes_h_zero(self):
+        # At a right-angle gap every h realises the half-turn slab; the
+        # solver takes h = 0, as for an interior slab.
+        trip = solve_triple(math.pi, 0.5 * math.pi)
+        assert trip == (-0.5 * math.pi, 0.5 * math.pi, math.pi)
+        l, m, n = axes_for(pair_with_delta(0.5 * math.pi))
+        rhs = compose(rot(m, -trip.alpha), compose(rot(n, trip.theta), rot(m, -trip.gamma)))
+        assert quat_distance(rot(l, math.pi), rhs) < 1e-15
 
     def test_full_slab(self):
         delta = 0.25 * math.pi
-        assert h_param(2.0 * delta, delta, t=0.0) == pytest.approx(
-            0.5 * math.pi, abs=1e-12)
+        assert solve_triple(2.0 * delta, delta).alpha == 0.0  # h = pi/2
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(InvalidSlabError):
-            h_param(1.2, 0.5, t=0.0)
-        with pytest.raises(InvalidSlabError):
-            h_param(-0.1, 0.5, t=0.0)
+        for beta_j, delta in ((1.2, 0.5), (-0.1, 0.5), (0.1, 0.0), (0.1, -0.3),
+                              (0.1, 0.5 * math.pi + 1e-6), (0.1, math.nan)):
+            with pytest.raises(InfeasibleSlabError):
+                solve_triple(beta_j, delta)
 
 
 class TestSolveTriple:
@@ -90,20 +95,22 @@ class TestSolveTriple:
         assert quat_distance(product, IDENTITY) < 1e-11
 
     def test_full_slab_closed_form(self):
-        delta = math.pi / 3
-        alpha, gamma, theta = solve_triple(2.0 * delta, delta, t=0.5 * math.pi)
-        assert alpha == pytest.approx(0.0, abs=1e-12)
-        assert gamma == pytest.approx(math.pi, abs=1e-12)
-        assert theta == pytest.approx(math.pi, abs=1e-12)
-        pair = pair_with_delta(delta)
-        l, m, n = axes_for(pair)
-        lhs = rot(l, 2.0 * delta)
-        rhs = compose(rot(n, math.pi), rot(m, -math.pi))
-        assert quat_distance(lhs, rhs) < 1e-14
+        # The chains use (0, pi, pi) for every full slab without solving it,
+        # and the half-turn pair n: pi, m: -pi for the product rot(l, 2*delta).
+        gaps = list(np.geomspace(4.5e-5, 1.5, 4000)) + [math.pi / 3, 0.5 * math.pi - 2e-9]
+        worst = 0.0
+        for delta in gaps:
+            delta = float(delta)
+            assert solve_triple(2.0 * delta, delta) == (0.0, math.pi, math.pi)
+            l, m, n = axes_for(pair_with_delta(delta))
+            lhs = rot(l, 2.0 * delta)
+            rhs = compose(rot(n, math.pi), rot(m, -math.pi))
+            worst = max(worst, quat_distance(lhs, rhs))
+        assert worst < 1e-14
 
     def test_half_slab_residual(self):
         delta = math.pi / 3
-        alpha, gamma, theta = solve_triple(delta, delta, t=0.0)
+        alpha, gamma, theta = solve_triple(delta, delta)
         assert theta == pytest.approx(
             2.0 * math.asin(math.sin(0.5 * delta) / math.sin(delta)), abs=1e-12)
         pair = pair_with_delta(delta)
@@ -117,10 +124,9 @@ class TestSolveTriple:
         for _ in range(200):
             delta = rng.uniform(0.05, 0.5 * math.pi)
             beta_j = rng.uniform(1e-6, 2.0 * delta)
-            t = rng.uniform(-2.0, 2.0)
             pair = pair_with_delta(delta)
             l, m, n = axes_for(pair)
-            alpha, gamma, theta = solve_triple(beta_j, delta, t)
+            alpha, gamma, theta = solve_triple(beta_j, delta)
             lhs = rot(l, beta_j)
             rhs = compose(rot(m, -alpha), compose(rot(n, theta), rot(m, -gamma)))
             assert quat_distance(lhs, rhs) < 1e-12
@@ -131,6 +137,8 @@ class TestSolveTriple:
 
 
 class TestPlanOdd:
+    """The reference slab plan the tests build chains from."""
+
     def test_zero_beta(self):
         assert plan_odd(0.0, 0.7, 1) == ()
 
@@ -281,14 +289,6 @@ class TestDecomposeMin:
                 assert quat_distance(rebuilt, u) <= 1e-9
                 assert dec.count == count_min(u, mm, nn).n_min
 
-    def test_trim_drops_zero_ends(self):
-        dec = decompose_min(rot(EY, math.pi), EZ, EX, trim=True)
-        assert dec.count == 2  # no zero-angle ends here
-        rng = np.random.default_rng(26)
-        m, n = random_pair(rng, 0.3, 0.5 * math.pi)
-        trimmed = decompose_min(IDENTITY, m, n, trim=True)
-        assert trimmed.count == 0
-
     def test_transport_invariance(self):
         rng = np.random.default_rng(27)
         for _ in range(50):
@@ -307,20 +307,27 @@ class TestDecomposeMin:
 
 class TestPlanInvariants:
     def test_slab_sums_and_ranges(self):
+        # The reference plan cuts the chain's middle angle into slabs in
+        # (0, 2*delta], all full but the last, and the chains' last slab is
+        # the plan's.
         rng = np.random.default_rng(31)
         for _ in range(200):
             m, n = random_pair(rng, 0.1, 0.5 * math.pi)
             pair = AxisPair.from_axes(m, n)
             u = random_su2(rng)
             delta = pair.delta
-            odd = decompose_odd(u, pair)
+            odd = reference_chain(u, pair, "odd")[2]
             beta = generalized_euler(u, pair).beta
-            assert sum(odd.slabs) == pytest.approx(beta, abs=1e-9)
-            assert all(0.0 < b <= 2.0 * delta + 1e-9 for b in odd.slabs)
-            even = decompose_even(u, pair)
-            assert sum(even.slabs) == pytest.approx(
-                even.beta_prime + delta, abs=1e-9)
-            assert all(0.0 < b <= 2.0 * delta + 1e-9 for b in even.slabs)
+            assert sum(odd) == pytest.approx(beta, abs=1e-9)
+            even_chain = reference_chain(u, pair, "even-mn")
+            even, beta_prime = even_chain[2], even_chain[3]
+            assert sum(even) == pytest.approx(beta_prime + delta, abs=1e-9)
+            for slabs, total, skip in ((odd, beta, 0), (even, beta_prime + delta, 1)):
+                assert all(0.0 < b <= 2.0 * delta + 1e-9 for b in slabs)
+                assert all(b == 2.0 * delta for b in slabs[:-1])
+                if len(slabs) > skip:
+                    rest = total - 2.0 * delta * skip
+                    assert synthesis._last_slab(rest, delta, len(slabs) - skip) == slabs[-1]
 
 
 class TestSlabFeasibility:
@@ -333,15 +340,15 @@ class TestSlabFeasibility:
             pair = AxisPair.from_axes(m, n)
             u = random_su2(rng)
             for dec in (decompose_odd(u, pair), decompose_even(u, pair)):
-                if not dec.slabs:
-                    continue
+                slabs = reference_chain(u, pair, dec.parity)[2]
                 n_angles = [f.angle for f in dec.factors if f.label is AxisLabel.N]
                 if dec.parity == "even-mn":
-                    # The merged leading n-factor absorbed an extra phase.
+                    # The leading n-factor is the shifted target's alpha',
+                    # merged with the pinned first slab's theta if any.
                     n_angles = n_angles[1:]
-                    slabs = dec.slabs[1:]
-                else:
-                    slabs = dec.slabs
+                    if reaches_gap(dec.beta_prime, pair.delta):
+                        slabs = slabs[1:]
+                assert len(n_angles) == len(slabs)
                 for slab, theta in zip(slabs, n_angles):
                     assert math.sin(pair.delta) * abs(math.sin(0.5 * theta)) == \
                         pytest.approx(abs(math.sin(0.5 * slab)), abs=1e-12)
@@ -361,13 +368,16 @@ class TestVerifyDecomposition:
         tampered = Decomposition(
             factors=tuple(factors), target=dec.target, axis_m=dec.axis_m,
             axis_n=dec.axis_n, pair=dec.pair, parity=dec.parity,
-            residual=dec.residual, slabs=dec.slabs, beta_prime=dec.beta_prime)
+            residual=dec.residual, beta_prime=dec.beta_prime)
         report = verify_decomposition(tampered)
         assert not report.ok
         assert report.residual > 1e-3
 
     def test_empty_factors_vs_identity(self):
-        dec = decompose_min(IDENTITY, EZ, EX, trim=True)
+        one = decompose_min(IDENTITY, EZ, EX)
+        dec = Decomposition(factors=(), target=one.target, axis_m=one.axis_m,
+                            axis_n=one.axis_n, pair=one.pair, parity=one.parity,
+                            residual=0.0)
         report = verify_decomposition(dec)
         assert report.residual == 0.0
         assert report.product == IDENTITY
@@ -571,7 +581,6 @@ class TestDecomposeMinPinned:
                 expected.append(Factor(label, normalize_angle(angle)))
             dec = decompose_min(u, mm, n)
             assert dec.factors == tuple(expected)
-            assert dec.slabs == inner.slabs
             assert dec.beta_prime == inner.beta_prime
             assert dec.parity == inner.parity
 
@@ -579,19 +588,21 @@ class TestDecomposeMinPinned:
         calls = count_replay_calls(monkeypatch)
         for u, m, n in pinned_cases():
             for mm in (m, -m):
-                for trim in (False, True):
-                    calls.clear()
-                    dec = decompose_min(u, mm, n, trim=trim)
-                    assert len(calls) == 1
-                    assert dec.residual <= 1e-9
+                calls.clear()
+                dec = decompose_min(u, mm, n)
+                assert len(calls) == 1
+                assert dec.residual <= 1e-9
 
     def test_other_lift_costs_one_more_replay(self, monkeypatch):
-        # Shifting every slab's n-angle by 2*pi negates each slab's product,
-        # so a chain with an odd number of slabs first lands on -u.
+        # Shifting a solved slab's n-angle by 2*pi negates that slab's
+        # product.  Only the last slab is solved, so a chain that solves one
+        # first lands on -u.
         calls = count_replay_calls(monkeypatch)
         solve = synthesis.solve_triple
+        solved = []
 
         def shifted(*args, **kwargs):
+            solved.append(1)
             trip = solve(*args, **kwargs)
             return trip._replace(theta=trip.theta + 2.0 * math.pi)
 
@@ -599,21 +610,20 @@ class TestDecomposeMinPinned:
         flipped = 0
         for u, m, n in pinned_cases():
             calls.clear()
+            solved.clear()
             dec = decompose_min(u, m, n)
-            odd_slabs = len(dec.slabs) % 2 == 1
-            assert len(calls) == (2 if odd_slabs else 1)
+            assert len(solved) <= 1
+            assert len(calls) == 1 + len(solved)
             assert dec.residual <= 1e-9
             assert dec.count == count_min(u, m, n).n_min
-            flipped += odd_slabs
+            flipped += len(solved)
         assert flipped > 0
 
 
 def small_gap_cases(delta):
     """Seeded (u, m, n) at gap ``delta``: one of each (parity, swapped) pair
     from Haar targets on random axes, then two rotations about ``l`` and the
-    identity (the one target here whose chain has a zero end to trim: a
-    minimal chain that ends on a zero angle would not be minimal) on
-    canonical axes."""
+    identity on canonical axes."""
     rng = np.random.default_rng(round(-math.log10(delta)))
     want = {(p, s) for p in PUBLIC_CONSTRUCTION for s in (False, True)}
     cases = []
@@ -637,18 +647,13 @@ class TestChainReference:
 
     @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
     def test_decompose_min_equals_reference(self, delta):
-        # Trimming runs with the flipped m, so both signs and both settings
-        # are covered at half the cost of every combination.
-        trimmed = 0
         for u, m, n in small_gap_cases(delta):
-            for mm, trim in ((m, False), (-m, True)):
-                dec = decompose_min(u, mm, n, trim=trim)
-                factors, residual = reference_decompose_min(u, mm, n, trim=trim)
+            for mm in (m, -m):
+                dec = decompose_min(u, mm, n)
+                factors, residual = reference_decompose_min(u, mm, n)
                 assert hex_factors(dec.factors) == hex_factors(factors)
                 assert dec.residual.hex() == residual.hex()
                 assert dec.residual == verify_decomposition(dec).residual
-                trimmed += dec.count < dec.report.n_min
-        assert trimmed > 0
 
     @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
     def test_constructions_equal_reference(self, delta):
@@ -661,7 +666,6 @@ class TestChainReference:
                                                       reverse=parity == "even-nm")
                 assert hex_factors(dec.factors) == hex_factors(factors)
                 assert dec.residual.hex() == residual.hex()
-                assert dec.slabs == tuple(chain[2])
                 assert dec.beta_prime == chain[3]
 
     def test_long_chain_shares_factors(self):
@@ -681,10 +685,9 @@ class TestDecomposeMinReport:
         swapped = 0
         for u, m, n in pinned_cases():
             mm = m_sign * m
-            for trim in (False, True):
-                dec = decompose_min(u, mm, n, trim=trim)
-                assert dec.report == count_min(u, mm, n)
-                assert dec.pair.m_flipped is (m_sign < 0)
+            dec = decompose_min(u, mm, n)
+            assert dec.report == count_min(u, mm, n)
+            assert dec.pair.m_flipped is (m_sign < 0)
             swapped += analyze(u, mm, n).governing.swapped
         assert swapped > 0
 
