@@ -20,9 +20,9 @@ validation error or an unreadable input or unwritable output, 3 parallel
 axes, 4 reconstruction residual breach.  A batch exits with the largest
 code of its items; an item that fails with 2 or 3 keeps its slot as
 ``{"error": message, "exit": code}``.  The environment variable
-``BIAXIAL_TOL`` overrides every default tolerance; the ``--tol`` flag
-overrides both, and the environment is then not read.  A tolerance that is
-not a finite number >= 0 exits with code 2.
+``BIAXIAL_TOL`` overrides the admission and reconstruction tolerances, not
+the counts; the ``--tol`` flag overrides both, and the environment is then
+not read.  A tolerance that is not a finite number >= 0 exits with code 2.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import json
 import sys
 from typing import Any
 
-from .config import Tolerances
+from .config import DECISION_WINDOW, Tolerances
 from .core import quat_distance
 from .counting import AxisPair, analyze, worst_case_witness
 from .errors import AxesParallelError
@@ -125,7 +125,7 @@ def _cmd_verify(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[i
                  and cert.swapped is analysis.governing.swapped
                  and cert.m_flipped is analysis.pair.m_flipped
                  and quat_distance(cert.target_su2, instance.target) <= tol.recon
-                 and abs(cert.delta - analysis.pair.delta) <= tol.angle)
+                 and abs(cert.delta - analysis.pair.delta) <= DECISION_WINDOW)
     ok = residual_ok and bounds_ok and claims_ok
     out = {
         "ok": ok,
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", "-i", default="-", help="input file or - for stdin")
         p.add_argument("--output", "-o", default="-", help="output file or - for stdout")
         p.add_argument("--tol", type=float, default=None,
-                       help="override all tolerances with one value")
+                       help="override the admission and residual tolerances")
         if name == "oracle":
             p.add_argument("--starts", type=int, default=64)
             p.add_argument("--seed", type=int, default=0)

@@ -1,8 +1,8 @@
-"""Numerical tolerances used for input admission and branch decisions.
+"""Numerical tolerances for input admission and the reconstruction bound.
 
 All identities implemented by this library are exact in exact arithmetic;
-tolerances exist only to admit floating-point inputs and to keep integer
-counts stable at exact branch boundaries.
+callers set ``Tolerances`` to admit floating-point inputs, while the fixed
+``DECISION_WINDOW`` keeps counts and branches stable at exact boundaries.
 """
 
 from __future__ import annotations
@@ -11,13 +11,13 @@ import math
 import os
 from dataclasses import dataclass
 
+DECISION_WINDOW = 1e-9  # snap window of every count and degenerate-angle branch
+
 
 @dataclass(frozen=True)
 class Tolerances:
     norm: float = 1e-9  # unit-norm admission for axes and quaternions
-    angle: float = 1e-9  # degenerate-angle branch thresholds
     parallel: float = 1e-9  # |m.n| < 1 - parallel admission for axis pairs
-    ceil: float = 1e-9  # snap window around integers in ceiling counts
     recon: float = 1e-9  # reconstruction residual bound for decompositions
 
     @classmethod
@@ -30,8 +30,7 @@ class Tolerances:
         value = float(value)
         if not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"tolerance must be finite and >= 0, got {value!r}")
-        return cls(norm=value, angle=value, parallel=value, ceil=value,
-                   recon=value)
+        return cls(norm=value, parallel=value, recon=value)
 
     @classmethod
     def from_env(cls, env_var: str = "BIAXIAL_TOL") -> "Tolerances":

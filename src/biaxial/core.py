@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DECISION_WINDOW, DEFAULT_TOL, Tolerances
 from .errors import InvalidAxisError, InvalidRotationError
 
 if TYPE_CHECKING:
@@ -241,22 +241,23 @@ def _canonical_sign(u: Su2Element, tol: Tolerances) -> Su2Element:
     return u
 
 
-def euler_zyz(u: Su2Element, tol: Tolerances = DEFAULT_TOL) -> EulerTriple:
+def euler_zyz(u: Su2Element) -> EulerTriple:
     """Factor ``u`` as rot(z, alpha) * rot(y, beta) * rot(z, gamma).
 
     beta lies in [0, pi]; the reconstruction equals ``u`` with exact
     quaternion sign, not merely up to the two-to-one lift.  On the
-    degenerate set (beta near 0 or pi) alpha is fixed to 0 and the whole
-    z-phase is folded into gamma, making the output deterministic.
+    degenerate set (``sin(beta/2)`` or ``cos(beta/2)`` at most
+    ``DECISION_WINDOW``) alpha is fixed to 0 and the whole z-phase is
+    folded into gamma, making the output deterministic.
     """
     sb = math.hypot(u.x, u.y)  # sin(beta/2)
     cb = math.hypot(u.w, u.z)  # cos(beta/2)
     beta = 2.0 * math.atan2(sb, cb)
     # 0.0 - v maps a negative zero to +0.0 so atan2 branch cuts are stable.
-    if sb <= tol.angle:
+    if sb <= DECISION_WINDOW:
         return EulerTriple(0.0, beta,
                            normalize_angle(2.0 * math.atan2(0.0 - u.z, u.w)))
-    if cb <= tol.angle:
+    if cb <= DECISION_WINDOW:
         return EulerTriple(0.0, beta,
                            normalize_angle(2.0 * math.atan2(0.0 - u.x, 0.0 - u.y)))
     half_sum = math.atan2(0.0 - u.z, u.w)  # (gamma + alpha) / 2
@@ -277,8 +278,7 @@ def from_euler_zyz(alpha: float, beta: float, gamma: float,
                    compose(rot(_EY, beta, tol), rot(_EZ, gamma, tol), tol), tol)
 
 
-def generalized_euler(u: Su2Element, pair: AxisPair,
-                      tol: Tolerances = DEFAULT_TOL) -> EulerTriple:
+def generalized_euler(u: Su2Element, pair: AxisPair) -> EulerTriple:
     """Factor ``u`` as rot(m, alpha) * rot(l, beta) * rot(m, gamma).
 
     ``l`` and ``m`` are the orthonormal frame an :class:`AxisPair` carries.
@@ -295,7 +295,7 @@ def generalized_euler(u: Su2Element, pair: AxisPair,
         u.w,
         x * (ly * mz - lz * my) + y * (lz * mx - lx * mz) + z * (lx * my - ly * mx),
         x * lx + y * ly + z * lz,
-        x * mx + y * my + z * mz), tol)
+        x * mx + y * my + z * mz))
 
 
 def geodesic(a, b, tol: Tolerances = DEFAULT_TOL) -> float:

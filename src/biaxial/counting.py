@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DECISION_WINDOW, DEFAULT_TOL, Tolerances
 from .core import Su2Element, _arc, compose, rot, rotate_vector, unit_axis
 from .errors import AxesParallelError, InvalidRotationError
 
@@ -45,14 +45,14 @@ PARITY_EVEN_MN = "even-mn"
 PARITY_EVEN_NM = "even-nm"
 
 
-def ceil_snapped(x: float, eps: float = DEFAULT_TOL.ceil) -> int:
-    """Ceiling that snaps to the nearest integer within ``eps``.
+def ceil_snapped(x: float) -> int:
+    """Ceiling that snaps to the nearest integer within ``DECISION_WINDOW``.
 
     Prevents floating-point noise from inflating counts at exact branch
     boundaries such as ``beta = 2*delta``.
     """
     r = round(x)
-    if abs(x - r) <= eps:
+    if abs(x - r) <= DECISION_WINDOW:
         return int(r)
     return int(math.ceil(x))
 
@@ -90,30 +90,29 @@ def f_angle(alpha: float, beta: float, delta: float) -> float:
     return 2.0 * math.atan2(math.sqrt(s2), math.sqrt(c2))
 
 
-def m_odd_count(beta: float, delta: float, tol: Tolerances = DEFAULT_TOL) -> int:
+def m_odd_count(beta: float, delta: float) -> int:
     """Odd count for ``beta = d(D a, a)``: ``2*ceil(beta/(2*delta)) + 1``."""
-    return 2 * ceil_snapped(beta / (2.0 * delta), tol.ceil) + 1
+    return 2 * ceil_snapped(beta / (2.0 * delta)) + 1
 
 
-def reaches_gap(d: float, delta: float, tol: Tolerances = DEFAULT_TOL) -> bool:
+def reaches_gap(d: float, delta: float) -> bool:
     """Whether an even pattern's ``d(D a, c)`` reaches the gap (else no two
     factors reach ``D`` and the even chain's leading rotations do not merge)."""
-    return d >= delta - tol.angle
+    return d >= delta - DECISION_WINDOW
 
 
-def even_count(d: float, delta: float, tol: Tolerances = DEFAULT_TOL) -> int:
+def even_count(d: float, delta: float) -> int:
     """Even count for ``d = d(D a, c)``: ``2*ceil(d/(2*delta) + 1/2)``
     when ``d`` reaches the gap, else 4."""
-    if reaches_gap(d, delta, tol):
-        return 2 * ceil_snapped(d / (2.0 * delta) + 0.5, tol.ceil)
+    if reaches_gap(d, delta):
+        return 2 * ceil_snapped(d / (2.0 * delta) + 0.5)
     return 4
 
 
-def g_count(alpha: float, beta: float, delta: float,
-            tol: Tolerances = DEFAULT_TOL) -> int:
+def g_count(alpha: float, beta: float, delta: float) -> int:
     """Even count for the triple (alpha, beta, gamma): :func:`even_count`
     of the auxiliary angle."""
-    return even_count(f_angle(alpha, beta, delta), delta, tol)
+    return even_count(f_angle(alpha, beta, delta), delta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,9 +210,9 @@ def analyze(u: Su2Element, m_raw, n_raw, tol: Tolerances = DEFAULT_TOL) -> Analy
     dg = rotate_vector(u, g)
     distances = (_arc(dg, g), _arc(dg, h), _arc(rotate_vector(u, h), g))
     delta = governing.delta
-    counts = (m_odd_count(distances[0], delta, tol),
-              even_count(distances[1], delta, tol),
-              even_count(distances[2], delta, tol))
+    counts = (m_odd_count(distances[0], delta),
+              even_count(distances[1], delta),
+              even_count(distances[2], delta))
     # Ties prefer odd, then even-mn.
     chosen = counts.index(min(counts))
     report = CountReport(
@@ -223,7 +222,7 @@ def analyze(u: Su2Element, m_raw, n_raw, tol: Tolerances = DEFAULT_TOL) -> Analy
         m_even_nm=counts[2],
         beta=distances[0],
         beta_prime=distances[1],
-        lowenthal=_lowenthal_from_delta(delta, tol),
+        lowenthal=_lowenthal_from_delta(delta),
         chosen_parity=(PARITY_ODD, PARITY_EVEN_MN, PARITY_EVEN_NM)[chosen],
     )
     return Analysis(pair=pair, governing=governing, report=report,
@@ -235,13 +234,13 @@ def count_min(u: Su2Element, m_raw, n_raw, tol: Tolerances = DEFAULT_TOL) -> Cou
     return analyze(u, m_raw, n_raw, tol).report
 
 
-def _lowenthal_from_delta(delta: float, tol: Tolerances) -> int:
-    return ceil_snapped(math.pi / delta, tol.ceil) + 1
+def _lowenthal_from_delta(delta: float) -> int:
+    return ceil_snapped(math.pi / delta) + 1
 
 
 def lowenthal_bound(m_raw, n_raw, tol: Tolerances = DEFAULT_TOL) -> int:
     """Worst case of the minimum count over all targets: ``ceil(pi/delta) + 1``."""
-    return _lowenthal_from_delta(AxisPair.from_axes(m_raw, n_raw, tol).delta, tol)
+    return _lowenthal_from_delta(AxisPair.from_axes(m_raw, n_raw, tol).delta)
 
 
 def worst_case_witness(pair: AxisPair, tol: Tolerances = DEFAULT_TOL) -> Su2Element:
@@ -250,7 +249,7 @@ def worst_case_witness(pair: AxisPair, tol: Tolerances = DEFAULT_TOL) -> Su2Elem
     With ``nu = ceil(pi/delta)`` the witness is ``rot(m, pi) * rot(l, pi - delta)``
     for even ``nu`` and ``rot(l, pi)`` for odd ``nu``.
     """
-    nu = ceil_snapped(math.pi / pair.delta, tol.ceil)
+    nu = ceil_snapped(math.pi / pair.delta)
     if nu % 2 == 0:
         return compose(rot(pair.m, math.pi, tol),
                        rot(pair.l, math.pi - pair.delta, tol), tol)

@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DECISION_WINDOW, DEFAULT_TOL, Tolerances
 from .counting import (AxisPair, CountReport, analyze, even_count,
                        m_odd_count, reaches_gap)
 from .core import (
@@ -131,31 +131,27 @@ class VerificationReport:
     ok: bool
 
 
-def solve_triple(beta_j: float, delta: float,
-                 tol: Tolerances = DEFAULT_TOL) -> TripleSolution:
+def solve_triple(beta_j: float, delta: float) -> TripleSolution:
     """Angles (alpha_j, gamma_j, theta_j) realising one slab:
 
         rot(l, beta_j) = rot(m, -alpha_j) * rot(n, theta_j) * rot(m, -gamma_j)
 
     for orthogonal l, m and ``n = sin(delta) l x m + cos(delta) m``.  With
-    ``h = arcsin(tan(beta_j/2) / tan(delta))``, or 0 at a right-angle gap,
-    ``alpha_j = h - pi/2`` and ``gamma_j = h + pi/2``.  Off a right-angle gap
-    a full slab ``2*delta`` has both ratios exactly 1, so its triple is
-    exactly ``(0, pi, pi)``.  Raises ``InfeasibleSlabError`` for a gap
+    ``h = arcsin(tan(beta_j/2) / tan(delta))`` (finite at the float pi/2),
+    ``alpha_j = h - pi/2`` and ``gamma_j = h + pi/2``.  A full slab
+    ``2*delta`` has both ratios exactly 1, so its triple is exactly
+    ``(0, pi, pi)`` at every gap.  Raises ``InfeasibleSlabError`` for a gap
     outside ``(0, pi/2]`` or a slab outside ``[0, 2*delta]``.
     """
-    if not (0.0 < delta <= 0.5 * math.pi + tol.angle):
+    if not (0.0 < delta <= 0.5 * math.pi + DECISION_WINDOW):
         raise InfeasibleSlabError(f"axis gap {delta!r} outside (0, pi/2]")
-    if beta_j > 2.0 * delta + tol.angle:
+    if beta_j > 2.0 * delta + DECISION_WINDOW:
         raise InfeasibleSlabError(
             f"slab {beta_j!r} exceeds twice the axis gap {delta!r}")
-    if beta_j < -tol.angle:
+    if beta_j < -DECISION_WINDOW:
         raise InfeasibleSlabError(f"slab {beta_j!r} is negative")
-    if abs(delta - 0.5 * math.pi) <= tol.angle:
-        h = 0.0
-    else:
-        ratio = math.tan(0.5 * min(beta_j, 2.0 * delta)) / math.tan(delta)
-        h = math.asin(min(1.0, max(-1.0, ratio)))
+    ratio = math.tan(0.5 * min(beta_j, 2.0 * delta)) / math.tan(delta)
+    h = math.asin(min(1.0, max(-1.0, ratio)))
     s = 2.0 * math.asin(min(1.0, max(-1.0, math.sin(0.5 * beta_j) / math.sin(delta))))
     return TripleSolution(h - 0.5 * math.pi, h + 0.5 * math.pi, s)
 
@@ -204,8 +200,7 @@ def _blocked(head: tuple[float, ...], block: tuple[float, float], reps: int,
     return head + block + tail, len(head), reps - 1
 
 
-def _odd_chain(u: Su2Element, pair: AxisPair, tol: Tolerances,
-               count: int | None = None) -> _Chain:
+def _odd_chain(u: Su2Element, pair: AxisPair, count: int | None = None) -> _Chain:
     """Raw angles of the odd construction m, n, m, ..., m of ``count``
     factors (default: the odd rule on the middle Euler angle).
 
@@ -216,13 +211,13 @@ def _odd_chain(u: Su2Element, pair: AxisPair, tol: Tolerances,
     is solved.
     """
     delta = pair.delta
-    alpha, beta, gamma = generalized_euler(u, pair, tol)
+    alpha, beta, gamma = generalized_euler(u, pair)
     if count is None:
-        count = m_odd_count(beta, delta, tol)
+        count = m_odd_count(beta, delta)
     k = (count - 1) // 2
     if k <= 0:
         return _Chain(AxisLabel.M, (alpha + gamma,), 0, 0, None)
-    last = solve_triple(_last_slab(beta, delta, k), delta, tol)
+    last = solve_triple(_last_slab(beta, delta, k), delta)
     if k == 1:
         angles = (alpha - last.alpha, last.theta, -last.gamma + gamma)
         return _Chain(AxisLabel.M, angles, 0, 0, None)
@@ -246,11 +241,11 @@ def _even_chain(u: Su2Element, pair: AxisPair, tol: Tolerances,
     """
     delta = pair.delta
     shifted = compose(rot(pair.l, -delta, tol), u, tol)
-    ap, bp, gp = generalized_euler(shifted, pair, tol)
+    ap, bp, gp = generalized_euler(shifted, pair)
     if count is None:
-        count, merged = even_count(bp, delta, tol), reaches_gap(bp, delta, tol)
+        count, merged = even_count(bp, delta), reaches_gap(bp, delta)
     if not merged:
-        trip = solve_triple(bp + delta, delta, tol)
+        trip = solve_triple(bp + delta, delta)
         angles = (ap, -trip.alpha, trip.theta, -trip.gamma + gp)
         return _Chain(AxisLabel.N, angles, 0, 0, bp)
     k = count // 2
@@ -258,7 +253,7 @@ def _even_chain(u: Su2Element, pair: AxisPair, tol: Tolerances,
         return _Chain(AxisLabel.N, (ap + math.pi, -math.pi + gp), 0, 0, bp)
     # The pinned slab comes off the total bp + delta, in that order: bp - delta
     # would round differently.
-    last = solve_triple(_last_slab(bp + delta - 2.0 * delta, delta, k - 1), delta, tol)
+    last = solve_triple(_last_slab(bp + delta - 2.0 * delta, delta, k - 1), delta)
     angles, at, extra = _blocked(
         (ap + math.pi,), (-math.pi, math.pi), k - 2,
         (-math.pi - last.alpha, last.theta, -last.gamma + gp))
@@ -378,7 +373,7 @@ def decompose_odd(u: Su2Element, pair: AxisPair,
     Length is ``2*ceil(beta/(2*delta)) + 1``; a vanishing middle angle gives
     the single bare m-rotation.
     """
-    chain = _odd_chain(u, pair, tol)
+    chain = _odd_chain(u, pair)
     return _finish(chain, u, pair, "odd", pair.m, pair.n, tol)
 
 
@@ -424,11 +419,11 @@ def decompose_min(u: Su2Element, m_raw, n_raw,
     parity = report.chosen_parity
     governing = analysis.governing
     if parity == "odd":
-        chain = _odd_chain(u, governing, tol, report.n_min)
+        chain = _odd_chain(u, governing, report.n_min)
     else:
         source = inverse(u) if parity == "even-nm" else u
         chain = _even_chain(source, governing, tol, report.n_min,
-                            reaches_gap(analysis.distance, governing.delta, tol))
+                            reaches_gap(analysis.distance, governing.delta))
     return _finish(chain, u, analysis.pair, parity,
                    np.asarray(m_raw, dtype=float), np.asarray(n_raw, dtype=float),
                    tol, reverse=parity == "even-nm", swapped=governing.swapped,
@@ -454,7 +449,7 @@ def verify_decomposition(d: Decomposition, tol: Tolerances = DEFAULT_TOL) -> Ver
     for i in fresh:
         label, angle = factors[i]
         alternates = alternates and (i == 0 or factors[i - 1].label is not label)
-        in_window = in_window and -2.0 * math.pi < angle <= 2.0 * math.pi + tol.angle
+        in_window = in_window and -2.0 * math.pi < angle <= 2.0 * math.pi + DECISION_WINDOW
     nonempty = len(factors) >= 1
     ok = alternates and in_window and nonempty and residual <= tol.recon
     return VerificationReport(product=prod, residual=residual, alternates=alternates,

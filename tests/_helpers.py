@@ -120,10 +120,10 @@ def euler_route_counts(u: Su2Element, m, n, tol=DEFAULT_TOL):
     governing = pair
     if overlap_b(pair.m, u, tol) < overlap_b(pair.n, u, tol):
         governing = pair.swap()
-    alpha, beta, gamma = generalized_euler(u, governing, tol)
+    alpha, beta, gamma = generalized_euler(u, governing)
     delta = governing.delta
-    counts = (m_odd_count(beta, delta, tol), g_count(alpha, beta, delta, tol),
-              g_count(gamma, -beta, delta, tol))
+    counts = (m_odd_count(beta, delta), g_count(alpha, beta, delta),
+              g_count(gamma, -beta, delta))
     chosen = counts.index(min(counts))
     parity = ("odd", "even-mn", "even-nm")[chosen]
     return (counts[chosen], *counts, parity, governing.swapped)
@@ -260,26 +260,15 @@ def plan_even(beta_prime: float, delta: float, count: int,
     return (beta_prime + delta,)
 
 
-def pinned_triple(delta: float, tol=DEFAULT_TOL):
-    """Triple of the even chain's pinned first slab ``2*delta``, with
-    ``h = pi/2`` as the merge needs: ``solve_triple``'s own off a
-    right-angle gap, where ``h = arcsin(1)``, and rebuilt from ``h = pi/2``
-    at a right-angle gap, where ``solve_triple`` takes ``h = 0``."""
-    trip = biaxial.synthesis.solve_triple(2.0 * delta, delta, tol)
-    if abs(delta - 0.5 * math.pi) <= tol.angle:
-        h = 0.5 * math.pi
-        trip = trip._replace(alpha=h - 0.5 * math.pi, gamma=h + 0.5 * math.pi)
-    return trip
-
-
 def reference_chain(u: Su2Element, pair, parity: str, count: int | None = None,
                     merged: bool | None = None, tol=DEFAULT_TOL):
     """Raw chain of one construction, spelled out slab by slab.
 
     Plans the slabs with :func:`plan_odd` or :func:`plan_even` and solves
     every slab with its own ``solve_triple`` call (looked up on the module,
-    so a patched solver is used here too), the pinned slab through
-    :func:`pinned_triple`.  ``count`` and ``merged`` default to the rule on
+    so a patched solver is used here too), the pinned slab included: its
+    ``2*delta`` gives ``h = arcsin(1) = pi/2``, the zero m-angle the merge
+    needs.  ``count`` and ``merged`` default to the rule on
     the chain's own Euler angle, as in the per-parity constructions.
     Returns ``(first label, angles, slabs, beta_prime)``; the angles are
     not yet reduced.
@@ -287,13 +276,13 @@ def reference_chain(u: Su2Element, pair, parity: str, count: int | None = None,
     solve = biaxial.synthesis.solve_triple
     delta = pair.delta
     if parity == "odd":
-        alpha, beta, gamma = generalized_euler(u, pair, tol)
+        alpha, beta, gamma = generalized_euler(u, pair)
         if count is None:
-            count = m_odd_count(beta, delta, tol)
+            count = m_odd_count(beta, delta)
         slabs = plan_odd(beta, delta, count)
         if not slabs:
             return AxisLabel.M, [alpha + gamma], slabs, None
-        trips = [solve(s, delta, tol) for s in slabs]
+        trips = [solve(s, delta) for s in slabs]
         angles = [alpha - trips[0].alpha]
         for trip, nxt in zip(trips, trips[1:]):
             angles += [trip.theta, -trip.gamma - nxt.alpha]
@@ -301,16 +290,16 @@ def reference_chain(u: Su2Element, pair, parity: str, count: int | None = None,
         return AxisLabel.M, angles, slabs, None
     source = inverse(u) if parity == "even-nm" else u
     shifted = compose(rot(pair.l, -delta, tol), source, tol)
-    ap, bp, gp = generalized_euler(shifted, pair, tol)
+    ap, bp, gp = generalized_euler(shifted, pair)
     if count is None:
-        count = even_count(bp, delta, tol)
+        count = even_count(bp, delta)
     if merged is None:
-        merged = reaches_gap(bp, delta, tol)
+        merged = reaches_gap(bp, delta)
     slabs = plan_even(bp, delta, count, merged)
     if not merged:
-        trip = solve(slabs[0], delta, tol)
+        trip = solve(slabs[0], delta)
         return AxisLabel.N, [ap, -trip.alpha, trip.theta, -trip.gamma + gp], slabs, bp
-    trips = [pinned_triple(delta, tol)] + [solve(s, delta, tol) for s in slabs[1:]]
+    trips = [solve(s, delta) for s in slabs]
     angles = [ap + trips[0].theta]
     for prev, trip in zip(trips, trips[1:]):
         angles += [-prev.gamma - trip.alpha, trip.theta]
@@ -358,7 +347,7 @@ def reference_decompose_min(u: Su2Element, m, n, tol=DEFAULT_TOL):
     for the caller's axes."""
     analysis = analyze(u, m, n, tol)
     report, governing = analysis.report, analysis.governing
-    merged = reaches_gap(analysis.distance, governing.delta, tol)
+    merged = reaches_gap(analysis.distance, governing.delta)
     chain = reference_chain(u, governing, report.chosen_parity, report.n_min, merged, tol)
     return reference_factors(chain, u, np.asarray(m, dtype=float), np.asarray(n, dtype=float),
                              reverse=report.chosen_parity == "even-nm",

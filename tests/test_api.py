@@ -1,6 +1,6 @@
 """The public names each layer module lists in ``__all__``, the packages
-the library imports, and the CLI flags and the ``decompose_min`` parameters
-README documents.
+the library imports, and the CLI flags, the ``decompose_min`` parameters
+and the ``Tolerances`` fields README documents.
 
 The benchmark's tracer calls ``getattr`` on every ``__all__`` entry of these
 modules, so a stale entry breaks every traced run, and its per-layer metrics
@@ -9,6 +9,7 @@ count calls of the functions named below.
 
 import argparse
 import ast
+import dataclasses
 import importlib
 import inspect
 import re
@@ -104,3 +105,11 @@ def test_readme_decompose_min_parameters_match_signature():
             assert getattr(biaxial, default) is p.default, name
         else:
             assert p.default is inspect.Parameter.empty, name
+
+
+def test_readme_tolerances_fields_match_dataclass():
+    # README's "`Tolerances(...)`" names every settable tolerance.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    documented = re.search(r"`Tolerances\(([^)]*)\)`",
+                           readme.read_text(encoding="utf-8")).group(1)
+    assert documented.split(", ") == [f.name for f in dataclasses.fields(biaxial.Tolerances)]

@@ -314,6 +314,17 @@ class TestVerifyClaims:
         assert out["residual_ok"]
         assert not out["claims_ok"]
 
+    @pytest.mark.parametrize("extra", [[], ["--tol", "1e-2"]], ids=["default", "loose"])
+    def test_gap_claim_ignores_tol(self, tmp_path, capsys, extra):
+        # --tol loosens admission and the residual bound, not the gap claim.
+        inst = {"m": EZ, "n": EX, "target": {"su2": [0.0, 0.0, 1.0, 0.0]}}
+        payload = self._pair(tmp_path, capsys, inst)
+        payload["certificate"]["delta"] += 1e-4
+        code, out = run_cli(tmp_path, capsys, "verify", payload, extra)
+        assert code == 1
+        assert out["residual_ok"] and out["bounds_ok"]
+        assert not out["claims_ok"]
+
     def test_decompose_certificates_pass(self, tmp_path, capsys):
         pairs = [self._pair(tmp_path, capsys, inst) for inst in batch(6)]
         code, out = run_cli(tmp_path, capsys, "verify", pairs)
@@ -516,18 +527,23 @@ class TestOracle:
 
 
 class TestTolOverride:
+    # Counts ignore tolerances, so overrides show through admission: at gap
+    # 1e-3, 1 - m.n is 5e-7, parallel under 1e-6 but not under 1e-9.
+    NEAR = {"m": EZ, "n": [math.sin(1e-3), 0.0, math.cos(1e-3)],
+            "target": {"su2": [1.0, 0.0, 0.0, 0.0]}}
+
     def test_env_var(self, tmp_path, capsys, monkeypatch):
+        assert run_cli(tmp_path, capsys, "count", self.NEAR)[0] == 0
         monkeypatch.setenv("BIAXIAL_TOL", "1e-6")
-        nearly_z = [1e-8, 0.0, math.sqrt(1.0 - 1e-16)]
-        payload = {"m": EZ, "n": nearly_z, "target": {"su2": [1.0, 0.0, 0.0, 0.0]}}
-        code, _ = run_cli(tmp_path, capsys, "count", payload)
+        code, _ = run_cli(tmp_path, capsys, "count", self.NEAR)
         assert code == 3  # parallel within the loosened tolerance
 
     def test_flag_beats_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BIAXIAL_TOL", "1e-2")
-        code, out = run_cli(tmp_path, capsys, "count", WORKED, ["--tol", "1e-9"])
+        assert run_cli(tmp_path, capsys, "count", self.NEAR)[0] == 3
+        code, out = run_cli(tmp_path, capsys, "count", self.NEAR, ["--tol", "1e-9"])
         assert code == 0
-        assert out["count"] == 2
+        assert out["count"] == 1
 
     def test_flag_skips_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BIAXIAL_TOL", "abc")
@@ -558,10 +574,24 @@ class TestTolOverride:
         assert captured.out == ""
         assert "tolerance must be finite" in captured.err
 
+    def test_loose_flag_keeps_count_reports(self, tmp_path, capsys):
+        # Haar targets at gaps 1, 0.3 and 1.5 in turn.
+        rng = np.random.default_rng(5)
+        items = []
+        for i in range(60):
+            delta = (1.0, 0.3, 1.5)[i % 3]
+            q = rng.normal(size=4)
+            items.append({"m": EZ, "n": [math.sin(delta), 0.0, math.cos(delta)],
+                          "target": {"su2": (q / np.linalg.norm(q)).tolist()}})
+        code, want = run_cli(tmp_path, capsys, "count", items)
+        assert code == 0
+        code, got = run_cli(tmp_path, capsys, "count", items, ["--tol", "1e-2"])
+        assert code == 0
+        assert [o["report"] for o in got] == [o["report"] for o in want]
+
     def test_uniform_sets_every_field(self):
         tol = Tolerances.uniform(1e-6)
-        assert tol == Tolerances(norm=1e-6, angle=1e-6, parallel=1e-6,
-                                 ceil=1e-6, recon=1e-6)
+        assert tol == Tolerances(norm=1e-6, parallel=1e-6, recon=1e-6)
         assert Tolerances.uniform(0.0).recon == 0.0
         for bad in (math.nan, math.inf, -1e-9):
             with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from biaxial import (
     IDENTITY,
     InvalidRotationError,
     Su2Element,
+    Tolerances,
     compose,
     count_min,
     f_angle,
@@ -475,6 +476,21 @@ class TestNonFiniteTarget:
             count_min(Su2Element(bad, 0.0, 0.0, 1.0), EZ, EX)
         with pytest.raises(InvalidRotationError, match="finite"):
             count_min(Su2Element(0.0, 1.0, bad, 0.0), EZ, EX)
+
+
+class TestToleranceIndependence:
+    """Counts depend on the target and the gap alone: loose tolerances move
+    admission and the reconstruction bound, never a count."""
+
+    @pytest.mark.parametrize("delta", [1.0, 0.3, 1.5])
+    def test_loose_tolerances_keep_reports(self, delta):
+        rng = np.random.default_rng(5)
+        n = math.sin(delta) * EX + math.cos(delta) * EZ
+        targets = [random_su2(rng) for _ in range(400)]
+        want = [count_min(u, EZ, n) for u in targets]
+        for value in (1e-6, 1e-4, 1e-2):
+            tol = Tolerances.uniform(value)
+            assert [count_min(u, EZ, n, tol) for u in targets] == want, value
 
 
 class TestWorstCase:

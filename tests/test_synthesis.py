@@ -38,6 +38,7 @@ from biaxial.synthesis import (
     decompose_odd,
 )
 import biaxial.synthesis as synthesis
+from biaxial.config import DECISION_WINDOW
 from biaxial.counting import analyze, reaches_gap
 from _helpers import (count_replay_calls, hex_factors, plan_odd, random_axis,
                       random_pair, random_su2, reference_chain,
@@ -65,15 +66,6 @@ class TestHParam:
         trip = solve_triple(0.5 * math.pi, 0.5 * math.pi)
         assert (trip.alpha, trip.gamma) == (-0.5 * math.pi, 0.5 * math.pi)
 
-    def test_full_slab_at_right_angle_gap_takes_h_zero(self):
-        # At a right-angle gap every h realises the half-turn slab; the
-        # solver takes h = 0, as for an interior slab.
-        trip = solve_triple(math.pi, 0.5 * math.pi)
-        assert trip == (-0.5 * math.pi, 0.5 * math.pi, math.pi)
-        l, m, n = axes_for(pair_with_delta(0.5 * math.pi))
-        rhs = compose(rot(m, -trip.alpha), compose(rot(n, trip.theta), rot(m, -trip.gamma)))
-        assert quat_distance(rot(l, math.pi), rhs) < 1e-15
-
     def test_full_slab(self):
         delta = 0.25 * math.pi
         assert solve_triple(2.0 * delta, delta).alpha == 0.0  # h = pi/2
@@ -96,8 +88,10 @@ class TestSolveTriple:
 
     def test_full_slab_closed_form(self):
         # The chains use (0, pi, pi) for every full slab without solving it,
-        # and the half-turn pair n: pi, m: -pi for the product rot(l, 2*delta).
-        gaps = list(np.geomspace(4.5e-5, 1.5, 4000)) + [math.pi / 3, 0.5 * math.pi - 2e-9]
+        # and the half-turn pair n: pi, m: -pi for the product rot(l, 2*delta),
+        # at a right-angle gap too.
+        gaps = list(np.geomspace(4.5e-5, 1.5, 4000)) + [math.pi / 3, 0.5 * math.pi - 2e-9,
+                                                        0.5 * math.pi]
         worst = 0.0
         for delta in gaps:
             delta = float(delta)
@@ -406,7 +400,7 @@ class TestVerifyDecomposition:
         # must get the verdicts of the plain per-factor definitions.
         rng = np.random.default_rng(150)
         dec = decompose_min(rot(EY, 0.7), EZ, EX)
-        top = 2.0 * math.pi + DEFAULT_TOL.angle
+        top = 2.0 * math.pi + DECISION_WINDOW
         angles = [0.3, -0.0, -2.0 * math.pi, top, 2.0 * top, math.nan, 7.0]
         pool = [Factor(label, a) for label in AxisLabel for a in angles]
         verdicts = set()
@@ -732,3 +726,15 @@ class TestSmallGapResidual:
             dec = decompose_min(u, m_sign * m, n)
             assert dec.count == count_min(u, m_sign * m, n).n_min
             assert dec.residual <= 1e-9, dec.residual
+
+
+class TestNearRightAngleResidual:
+    @pytest.mark.parametrize("offset", [1e-12, 5e-10, 9e-10])
+    def test_residual_just_below_a_right_angle(self, offset):
+        # The general slab triple stays exact up to the float pi/2, so a gap
+        # within the decision window of a right angle builds as well as any.
+        rng = np.random.default_rng(1)
+        pair = pair_with_delta(0.5 * math.pi - offset)
+        worst = max(decompose_min(random_su2(rng), pair.m, pair.n).residual
+                    for _ in range(400))
+        assert worst <= 1e-14, worst
