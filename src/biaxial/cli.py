@@ -21,8 +21,9 @@ axes, 4 reconstruction residual breach.  A batch exits with the largest
 code of its items; an item that fails with 2 or 3 keeps its slot as
 ``{"error": message, "exit": code}``.  The environment variable
 ``BIAXIAL_TOL`` overrides the admission and reconstruction tolerances, not
-the counts; the ``--tol`` flag overrides both, and the environment is then
-not read.  A tolerance that is not a finite number >= 0 exits with code 2.
+the counts, the lift of a target or the factors; the ``--tol`` flag
+overrides both, and the environment is then not read.  A tolerance that
+is not a finite number >= 0 exits with code 2.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def _cmd_verify(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[i
     # The declared residual is a claim to check, not a bound to trust.
     residual_ok = ver.residual <= min(declared + VERIFY_SLACK, tol.recon)
     bounds_ok = (ver.nonempty and ver.alternates and geodesic_bound_check(
-        ver.product, dec.pair, PatternSpec(dec.count, dec.factors[-1].label), tol).passed)
+        ver.product, dec.pair, PatternSpec(dec.count, dec.factors[-1].label)).passed)
     # Claims against the factors and a fresh analysis.
     claims_ok = (cert.count == dec.count == report.n_min
                  and all(getattr(cert.report, key) == getattr(report, key)
@@ -143,7 +144,7 @@ def _cmd_worst_case(item: Any, args: argparse.Namespace, tol: Tolerances) -> tup
         raise ValueError('worst-case input must carry "m" and "n"')
     m = _vector3(item["m"], "m")
     n = _vector3(item["n"], "n")
-    witness = worst_case_witness(AxisPair.from_axes(m, n, tol), tol)
+    witness = worst_case_witness(AxisPair.from_axes(m, n, tol))
     return _decomposition_result(decompose_min(witness, m, n, tol=tol), tol)
 
 

@@ -16,7 +16,7 @@ DECISION_WINDOW = 1e-9  # snap window of every count and degenerate-angle branch
 
 @dataclass(frozen=True)
 class Tolerances:
-    norm: float = 1e-9  # unit-norm admission for axes and quaternions
+    norm: float = 1e-9  # unit-norm admission for axes (then made unit) and quaternions
     parallel: float = 1e-9  # |m.n| < 1 - parallel admission for axis pairs
     recon: float = 1e-9  # reconstruction residual bound for decompositions
 

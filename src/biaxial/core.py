@@ -48,6 +48,10 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
+# Squared-norm error of a vector that is unit to rounding: dividing a
+# 3-vector by its norm leaves its squared norm within about 5 float
+# spacings of 1, so eight (1.8e-15) make admission idempotent.
+_UNIT_ROUNDING = 8.0 * 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -82,7 +86,13 @@ _EZ = np.array([0.0, 0.0, 1.0])
 
 
 def unit_axis(v, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Validate and return a finite unit 3-vector as a float array."""
+    """Admit a finite 3-vector of norm 1 within ``tol.norm`` and return it
+    divided by its norm, as a float array.
+
+    A vector already unit to rounding (squared norm within
+    ``_UNIT_ROUNDING`` of 1) is returned as it is, so admitting an admitted
+    axis again leaves its bits alone.
+    """
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise InvalidAxisError(f"axis must be a 3-vector, got shape {a.shape}")
@@ -92,6 +102,8 @@ def unit_axis(v, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise InvalidAxisError(f"axis must be finite with norm 1, got {a.tolist()}")
     if abs(n - 1.0) > 2.0 * tol.norm:
         raise InvalidAxisError(f"axis norm {math.sqrt(n):.12g} is not 1 within tolerance")
+    if abs(n - 1.0) > _UNIT_ROUNDING:
+        a = a / math.sqrt(n)
     return a
 
 
@@ -117,18 +129,19 @@ def rot(axis, theta: float, tol: Tolerances = DEFAULT_TOL) -> Su2Element:
     return Su2Element(c, -v[0] * s, -v[1] * s, -v[2] * s)
 
 
-def compose(a: Su2Element, b: Su2Element, tol: Tolerances = DEFAULT_TOL) -> Su2Element:
-    """Quaternion product ``a * b`` (matrix product of the 2x2 unitaries)."""
+def compose(a: Su2Element, b: Su2Element) -> Su2Element:
+    """Quaternion product ``a * b`` (matrix product of the 2x2 unitaries).
+
+    The product is not renormalised: unit inputs give a product unit to
+    rounding, and the norm of a product of non-unit inputs is the product
+    of their norms.
+    """
     w1, x1, y1, z1 = a.w, a.x, a.y, a.z
     w2, x2, y2, z2 = b.w, b.x, b.y, b.z
     w = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
     x = w1 * x2 + w2 * x1 - (y1 * z2 - z1 * y2)
     y = w1 * y2 + w2 * y1 - (z1 * x2 - x1 * z2)
     z = w1 * z2 + w2 * z1 - (x1 * y2 - y1 * x2)
-    n = w * w + x * x + y * y + z * z
-    if abs(n - 1.0) > 0.5 * tol.norm:
-        inv = 1.0 / math.sqrt(n)
-        w, x, y, z = w * inv, x * inv, y * inv, z * inv
     return Su2Element(w, x, y, z)
 
 
@@ -182,8 +195,10 @@ def to_so3(u: Su2Element) -> np.ndarray:
 def from_so3(d, tol: Tolerances = DEFAULT_TOL) -> Su2Element:
     """Canonical quaternion lift of a rotation matrix.
 
-    The two lifts differ by sign; the returned one has ``w > 0``, or if ``w``
-    vanishes, the first nonzero of ``(x, y, z)`` positive.
+    The two lifts differ by sign; the returned one has ``w > 0``, or if
+    ``|w|`` is at most ``DECISION_WINDOW``, the first of ``(x, y, z)``
+    beyond that window positive.  ``tol.norm`` admits the matrix only; the
+    choice of lift does not read it.
     """
     m = np.asarray(d, dtype=float)
     if m.shape != (3, 3):
@@ -227,16 +242,16 @@ def from_so3(d, tol: Tolerances = DEFAULT_TOL) -> Su2Element:
 
     n = math.sqrt(w * w + xs * xs + ys * ys + zs * zs)
     u = Su2Element(w / n, -xs / n, -ys / n, -zs / n)
-    return _canonical_sign(u, tol)
+    return _canonical_sign(u)
 
 
-def _canonical_sign(u: Su2Element, tol: Tolerances) -> Su2Element:
-    if u.w > tol.norm:
+def _canonical_sign(u: Su2Element) -> Su2Element:
+    if u.w > DECISION_WINDOW:
         return u
-    if u.w < -tol.norm:
+    if u.w < -DECISION_WINDOW:
         return negate(u)
     for comp in (u.x, u.y, u.z):
-        if abs(comp) > tol.norm:
+        if abs(comp) > DECISION_WINDOW:
             return u if comp > 0.0 else negate(u)
     return u
 
@@ -266,16 +281,14 @@ def euler_zyz(u: Su2Element) -> EulerTriple:
                        normalize_angle(half_sum + half_diff))
 
 
-def from_euler_zyz(alpha: float, beta: float, gamma: float,
-                   tol: Tolerances = DEFAULT_TOL) -> Su2Element:
+def from_euler_zyz(alpha: float, beta: float, gamma: float) -> Su2Element:
     """The product rot(z, alpha) * rot(y, beta) * rot(z, gamma).
 
     Reads the ``euler_zyz`` target encoding.  It inverts :func:`euler_zyz`:
     ``from_euler_zyz(*euler_zyz(u))`` reproduces ``u`` with its quaternion
     sign.
     """
-    return compose(rot(_EZ, alpha, tol),
-                   compose(rot(_EY, beta, tol), rot(_EZ, gamma, tol), tol), tol)
+    return compose(rot(_EZ, alpha), compose(rot(_EY, beta), rot(_EZ, gamma)))
 
 
 def generalized_euler(u: Su2Element, pair: AxisPair) -> EulerTriple:

@@ -57,14 +57,14 @@ def ceil_snapped(x: float) -> int:
     return int(math.ceil(x))
 
 
-def overlap_b(v, u: Su2Element, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Absolute overlap of the quaternion vector part with axis ``v``.
+def overlap_b(v, u: Su2Element) -> float:
+    """Absolute overlap of the quaternion vector part with the unit axis ``v``.
 
     Equals ``|sin(theta/2)| * |axis . v|`` when ``u`` rotates by ``theta``
     about ``axis``; it decides which of the two axes governs the count.
     """
-    a = unit_axis(v, tol)
-    return abs(u.x * a[0] + u.y * a[1] + u.z * a[2])
+    vx, vy, vz = v
+    return abs(u.x * vx + u.y * vy + u.z * vz)
 
 
 def f_angle(alpha: float, beta: float, delta: float) -> float:
@@ -119,8 +119,10 @@ def g_count(alpha: float, beta: float, delta: float) -> int:
 class AxisPair:
     """Normalized two-axis context and its Euler frame.
 
-    ``m`` is sign-flipped if needed so that ``m . n >= 0``, putting the gap
-    ``delta = atan2(|m x n|, m . n)`` in ``(0, pi/2]``.  ``l`` is the unit
+    ``m`` and ``n`` are the admitted axes divided by their norms
+    (:func:`~biaxial.core.unit_axis`).  ``m`` is sign-flipped if needed so
+    that ``m . n >= 0``, putting the gap ``delta = atan2(|m x n|, m . n)``
+    in ``(0, pi/2]``.  ``l`` is the unit
     normal ``m x n / |m x n|``, projected orthogonal to ``m`` and normalized
     again, so that ``(l, m)`` is orthonormal to rounding for every gap: the
     cross product alone is off orthogonal by about 1e-16/delta, which would
@@ -195,15 +197,22 @@ class Analysis:
 
 
 def analyze(u: Su2Element, m_raw, n_raw, tol: Tolerances = DEFAULT_TOL) -> Analysis:
-    """Pick the governing axis order and count from three sphere distances."""
-    if not all(math.isfinite(c) for c in u.components()):
-        raise InvalidRotationError(f"target must be finite, got {u.components()}")
+    """Admit the target and the axes, pick the governing axis order and
+    count from three sphere distances.
+
+    The target must be finite with squared norm 1 within ``2*tol.norm``,
+    as a parsed su2 target must; else ``InvalidRotationError``.
+    """
+    # A NaN or infinite component fails the comparison too.
+    if not u.norm_error() <= 2.0 * tol.norm:
+        raise InvalidRotationError(
+            f"target must be finite with norm 1 within tolerance, got {u.components()}")
     pair = AxisPair.from_axes(m_raw, n_raw, tol)
     governing = pair
     # The closed-form minimum needs the governing axis to carry at least as
     # much of the target's vector part as the other one; ties keep the
     # caller's order for determinism.
-    if overlap_b(pair.m, u, tol) < overlap_b(pair.n, u, tol):
+    if overlap_b(pair.m, u) < overlap_b(pair.n, u):
         governing = pair.swap()
     g = governing.m.tolist()  # admitted unit axes; D keeps norms
     h = governing.n.tolist()
@@ -243,7 +252,7 @@ def lowenthal_bound(m_raw, n_raw, tol: Tolerances = DEFAULT_TOL) -> int:
     return _lowenthal_from_delta(AxisPair.from_axes(m_raw, n_raw, tol).delta)
 
 
-def worst_case_witness(pair: AxisPair, tol: Tolerances = DEFAULT_TOL) -> Su2Element:
+def worst_case_witness(pair: AxisPair) -> Su2Element:
     """A target whose minimal count attains the worst-case bound.
 
     With ``nu = ceil(pi/delta)`` the witness is ``rot(m, pi) * rot(l, pi - delta)``
@@ -251,6 +260,5 @@ def worst_case_witness(pair: AxisPair, tol: Tolerances = DEFAULT_TOL) -> Su2Elem
     """
     nu = ceil_snapped(math.pi / pair.delta)
     if nu % 2 == 0:
-        return compose(rot(pair.m, math.pi, tol),
-                       rot(pair.l, math.pi - pair.delta, tol), tol)
-    return rot(pair.l, math.pi, tol)
+        return compose(rot(pair.m, math.pi), rot(pair.l, math.pi - pair.delta))
+    return rot(pair.l, math.pi)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .counting import AxisPair
-from .core import Su2Element, geodesic, normalize_angle, rotate_vector
+from .core import Su2Element, _arc, normalize_angle, rotate_vector
 from .synthesis import AxisLabel, decompose_min
 
 __all__ = [
@@ -104,8 +104,8 @@ class MinimalityReport:
     skipped_zero_length: bool
 
 
-def geodesic_bound_check(u: Su2Element, pair: AxisPair, pattern: PatternSpec,
-                         tol: Tolerances = DEFAULT_TOL) -> GeodesicBoundReport:
+def geodesic_bound_check(u: Su2Element, pair: AxisPair,
+                         pattern: PatternSpec) -> GeodesicBoundReport:
     """Sphere-distance bound ``u`` meets if an alternating product of the
     pattern equals it.
 
@@ -118,10 +118,10 @@ def geodesic_bound_check(u: Su2Element, pair: AxisPair, pattern: PatternSpec,
     proves that no product of the pattern equals ``u``; passing proves
     nothing.
     """
-    a = pair.m if pattern.first_axis is AxisLabel.M else pair.n
-    b = pair.n if pattern.first_axis is AxisLabel.M else pair.m
+    a = (pair.m if pattern.first_axis is AxisLabel.M else pair.n).tolist()
+    b = (pair.n if pattern.first_axis is AxisLabel.M else pair.m).tolist()
     k = pattern.k
-    distance = geodesic(rotate_vector(u, a), a if k % 2 else b, tol)
+    distance = _arc(rotate_vector(u, a), a if k % 2 else b)
     bound = (k - 1) * pair.delta
     return GeodesicBoundReport(length=k, distance=distance, bound=bound,
                                passed=distance <= bound + BOUND_SLACK)

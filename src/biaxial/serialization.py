@@ -129,7 +129,8 @@ def _parse_target(obj: Any, tol: Tolerances) -> tuple[Su2Element, str]:
                        "su2 target")
         norm = sum(c * c for c in comp)
         if abs(norm - 1.0) > 2.0 * tol.norm:
-            raise ValueError(f"su2 target norm {norm:.12g} is not 1 within tolerance")
+            raise InvalidRotationError(
+                f"su2 target norm {norm:.12g} is not 1 within tolerance")
         scale = 1.0 / norm ** 0.5
         return Su2Element(*(c * scale for c in comp)), kind
     if kind == "so3":
@@ -144,7 +145,7 @@ def _parse_target(obj: Any, tol: Tolerances) -> tuple[Su2Element, str]:
         return rot(axis, angle, tol), kind
     triple = _finite(_numbers(value, 3, "euler_zyz target must be [alpha, beta, gamma]"),
                      "euler_zyz target")
-    return from_euler_zyz(*triple, tol), kind
+    return from_euler_zyz(*triple), kind
 
 
 def parse_instance(obj: Any, tol: Tolerances = DEFAULT_TOL) -> ProblemInstance:

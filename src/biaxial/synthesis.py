@@ -13,11 +13,13 @@ the half-turn pair ``n: pi, m: -pi`` (whose product is
 its last slab's solution alone: a head, that constant block repeated, and
 a tail.  Reversal, relabelling for the caller's axes and angle reduction
 are applied to those few distinct angles; the factor tuple is then spelled
-out with one shared ``Factor`` per block angle and replayed once (twice
-only when the first product lands on the other lift of the target).  The replay stays the
-sequential fold, but computes each distinct factor's rotation once, so one
-``decompose_min`` call costs one multiply per factor of a chain of about
-``pi/delta`` factors and no other per-factor work but building the tuple.
+out with one shared ``Factor`` per block angle and replayed once.  The
+replay stays the sequential fold, but computes each distinct factor's
+rotation once, so one ``decompose_min`` call costs one multiply per factor
+of a chain of about ``pi/delta`` factors and no other per-factor work but
+building the tuple.  There is no renormalisation rule: admission divides
+each axis by its norm, so every rotation and every partial product is
+unit to rounding.
 
 Factor lists are stored in product order: ``factors[0]`` is the leftmost
 factor, i.e. the last one applied.
@@ -43,7 +45,6 @@ from .core import (
     compose,
     generalized_euler,
     inverse,
-    negate,
     normalize_angle,
     quat_distance,
     rot,
@@ -92,9 +93,9 @@ class TripleSolution(NamedTuple):
 class Decomposition:
     """An ordered factor product realising ``target`` about two axes.
 
-    ``axis_m`` and ``axis_n`` are the vectors the factor labels refer to;
-    replaying the factors left to right (last applied first) reproduces the
-    target with exact quaternion sign up to ``residual``.  ``parity`` is
+    ``axis_m`` and ``axis_n`` are the unit vectors the factor labels refer
+    to; replaying the factors left to right (last applied first) reproduces
+    the target with exact quaternion sign up to ``residual``.  ``parity`` is
     stated in the governing (normalized) axis order; ``swapped`` marks a
     governing order that exchanged m and n, so the caller-visible label
     order is reversed.  ``beta_prime`` is the even constructions'
@@ -179,10 +180,8 @@ class _Chain(NamedTuple):
     ``angles[at:at + 2]`` is a block that the full chain repeats ``extra``
     more times in place; with ``extra == 0`` the chain is ``angles`` as it
     stands.  Labels alternate starting with ``first``; since the block has
-    two angles, every angle's label is the one it has in ``angles``.  The
-    block never starts the list, so :func:`_finish`'s lift flip changes the
-    first angle alone.  Angles are not yet reduced into the reporting
-    interval.
+    two angles, every angle's label is the one it has in ``angles``.
+    Angles are not yet reduced into the reporting interval.
     """
 
     first: AxisLabel
@@ -227,7 +226,7 @@ def _odd_chain(u: Su2Element, pair: AxisPair, count: int | None = None) -> _Chai
     return _Chain(AxisLabel.M, angles, at, extra, None)
 
 
-def _even_chain(u: Su2Element, pair: AxisPair, tol: Tolerances,
+def _even_chain(u: Su2Element, pair: AxisPair,
                 count: int | None = None, merged: bool = False) -> _Chain:
     """Raw angles of the even construction n, m, ..., n, m of ``count``
     factors (default: the even rule on the shifted middle Euler angle).
@@ -240,7 +239,7 @@ def _even_chain(u: Su2Element, pair: AxisPair, tol: Tolerances,
     slab.  Only the last slab is solved; the pinned slab never is.
     """
     delta = pair.delta
-    shifted = compose(rot(pair.l, -delta, tol), u, tol)
+    shifted = compose(rot(pair.l, -delta), u)
     ap, bp, gp = generalized_euler(shifted, pair)
     if count is None:
         count, merged = even_count(bp, delta), reaches_gap(bp, delta)
@@ -261,7 +260,7 @@ def _even_chain(u: Su2Element, pair: AxisPair, tol: Tolerances,
 
 
 def _finish(chain: _Chain, u: Su2Element, pair: AxisPair, parity: str,
-            axis_m: np.ndarray, axis_n: np.ndarray, tol: Tolerances, *,
+            axis_m: np.ndarray, axis_n: np.ndarray, *,
             reverse: bool = False, swapped: bool = False,
             m_flipped: bool = False,
             report: CountReport | None = None) -> Decomposition:
@@ -274,36 +273,30 @@ def _finish(chain: _Chain, u: Su2Element, pair: AxisPair, parity: str,
     m-angles (a rotation about -m by theta is one about m by -theta); reduce
     again.  The transforms act on the chain's distinct angles only (a
     repeated block is transformed once), and the factors are then spelled
-    out with one shared ``Factor`` per block angle.  The result is replayed once about ``axis_m`` and ``axis_n``.
-    Only if the product lands on the other lift of ``u`` does the chain's
-    first factor gain 2*pi, which flips the product's sign exactly, and the
-    transforms and the replay run again.
+    out with one shared ``Factor`` per block angle.  The result is replayed
+    once about the admitted axes ``axis_m`` and ``axis_n``.  The chain
+    reproduces ``u`` with its quaternion sign, so a wrong lift would show as
+    a residual of about 2.
     """
-    reduced = [normalize_angle(a) for a in chain.angles]
-    for lift_flip in (False, True):
-        angles, at, extra = list(reduced), chain.at, chain.extra
-        if lift_flip:
-            angles[0] = normalize_angle(angles[0] + 2.0 * math.pi)
-        first = chain.first
-        if reverse:
-            if len(angles) % 2 == 0:
-                first = first.other
-            angles = [-a for a in reversed(angles)]
-            at = len(angles) - at - 2
-        if swapped:
+    angles = [normalize_angle(a) for a in chain.angles]
+    at, first = chain.at, chain.first
+    if reverse:
+        if len(angles) % 2 == 0:
             first = first.other
-        if m_flipped:
-            start = 0 if first is AxisLabel.M else 1
-            angles[start::2] = [-a for a in angles[start::2]]
-        labels = (first, first.other)
-        factors = tuple([Factor(labels[i & 1], normalize_angle(a))
-                         for i, a in enumerate(angles)])
-        if extra:
-            factors = factors[:at] + factors[at:at + 2] * (extra + 1) + factors[at + 2:]
-        prod = replay_factors(factors, axis_m, axis_n, tol)
-        residual = quat_distance(prod, u)
-        if lift_flip or not quat_distance(negate(prod), u) < residual:
-            break
+        angles = [-a for a in reversed(angles)]
+        at = len(angles) - at - 2
+    if swapped:
+        first = first.other
+    if m_flipped:
+        start = 0 if first is AxisLabel.M else 1
+        angles[start::2] = [-a for a in angles[start::2]]
+    labels = (first, first.other)
+    factors = tuple([Factor(labels[i & 1], normalize_angle(a))
+                     for i, a in enumerate(angles)])
+    if chain.extra:
+        factors = (factors[:at] + factors[at:at + 2] * (chain.extra + 1)
+                   + factors[at + 2:])
+    residual = quat_distance(replay_factors(factors, axis_m, axis_n), u)
     return Decomposition(factors=factors, target=u, axis_m=axis_m,
                          axis_n=axis_n, pair=pair, parity=parity,
                          residual=residual, beta_prime=chain.beta_prime,
@@ -315,15 +308,15 @@ def replay_factors(factors: Sequence[Factor], axis_m, axis_n,
     """Product of the factors in list order (applied right to left).
 
     Bit-identical to the left fold ``acc = compose(acc, rot(axis, f.angle,
-    tol), tol)`` from ``IDENTITY``: the same arithmetic in the same order,
-    with the same renormalisation rule, inlined on Python floats.  The last
-    factor met at even and at odd positions keeps its rotation, and a factor
-    that is the same object reuses it, so a chain that repeats a shared
-    two-factor block computes each distinct factor's rotation once.  Each
-    axis is validated by ``unit_axis`` once, on its first use, so an axis
-    that no factor uses is never checked.
+    tol))`` from ``IDENTITY``: the same arithmetic in the same order,
+    inlined on Python floats.  Neither renormalises: ``unit_axis`` divides
+    each axis by its norm, so every rotation and partial product is unit to
+    rounding.  The last factor met at even and at odd positions keeps its
+    rotation, and a factor that is the same object reuses it, so a chain
+    that repeats a shared two-factor block computes each distinct factor's
+    rotation once.  Each axis is admitted by ``unit_axis`` once, on its
+    first use, so an axis that no factor uses is never checked.
     """
-    renorm = 0.5 * tol.norm
     axes: list = [None, None]
     f_even = f_odd = r_even = r_odd = None
     at_odd = False
@@ -345,10 +338,6 @@ def replay_factors(factors: Sequence[Factor], axis_m, axis_n,
                       w * bx + c * x - (y * bz - z * by),
                       w * by + c * y - (z * bx - x * bz),
                       w * bz + c * z - (x * by - y * bx))
-        n = w * w + x * x + y * y + z * z
-        if abs(n - 1.0) > renorm:
-            inv = 1.0 / math.sqrt(n)
-            w, x, y, z = w * inv, x * inv, y * inv, z * inv
     return Su2Element(w, x, y, z)
 
 
@@ -366,19 +355,17 @@ def _rotation(f: Factor, axes: list, axis_m, axis_n,
     return c, -v[0] * s, -v[1] * s, -v[2] * s
 
 
-def decompose_odd(u: Su2Element, pair: AxisPair,
-                  tol: Tolerances = DEFAULT_TOL) -> Decomposition:
+def decompose_odd(u: Su2Element, pair: AxisPair) -> Decomposition:
     """Odd-length sequence m, n, m, ..., m realising ``u`` about the pair.
 
     Length is ``2*ceil(beta/(2*delta)) + 1``; a vanishing middle angle gives
     the single bare m-rotation.
     """
     chain = _odd_chain(u, pair)
-    return _finish(chain, u, pair, "odd", pair.m, pair.n, tol)
+    return _finish(chain, u, pair, "odd", pair.m, pair.n)
 
 
-def decompose_even(u: Su2Element, pair: AxisPair,
-                   tol: Tolerances = DEFAULT_TOL) -> Decomposition:
+def decompose_even(u: Su2Element, pair: AxisPair) -> Decomposition:
     """Even-length sequence n, m, ..., n, m realising ``u`` about the pair.
 
     Shifts the target by ``rot(l, -delta)`` to obtain the auxiliary triple
@@ -388,20 +375,19 @@ def decompose_even(u: Su2Element, pair: AxisPair,
     the first slab to a full ``2*delta``, whose triple ``(0, pi, pi)`` has
     the zero m-angle it needs.
     """
-    chain = _even_chain(u, pair, tol)
-    return _finish(chain, u, pair, "even-mn", pair.m, pair.n, tol)
+    chain = _even_chain(u, pair)
+    return _finish(chain, u, pair, "even-mn", pair.m, pair.n)
 
 
-def decompose_even_reversed(u: Su2Element, pair: AxisPair,
-                            tol: Tolerances = DEFAULT_TOL) -> Decomposition:
+def decompose_even_reversed(u: Su2Element, pair: AxisPair) -> Decomposition:
     """Even-length sequence m, n, ..., m, n realising ``u``.
 
     Decomposes the inverse target, then reverses the list and negates every
     angle; the factor count becomes the even minimum for the opposite axis
     order.
     """
-    chain = _even_chain(inverse(u), pair, tol)
-    return _finish(chain, u, pair, "even-nm", pair.m, pair.n, tol, reverse=True)
+    chain = _even_chain(inverse(u), pair)
+    return _finish(chain, u, pair, "even-nm", pair.m, pair.n, reverse=True)
 
 
 def decompose_min(u: Su2Element, m_raw, n_raw,
@@ -411,23 +397,25 @@ def decompose_min(u: Su2Element, m_raw, n_raw,
     Builds the analysed parity's one closed-form chain of the analysed
     count (each slab has a single solution), then maps factor labels and
     angle signs back from the normalized governing axes to the axes as
-    given.  The factors are replayed once (twice when the first replay lands
-    on the other lift), and the analysis is returned as ``report``.
+    given.  ``tol`` admits the target and the axes and reads nothing else;
+    the result's ``axis_m`` and ``axis_n`` are the caller's axes divided by
+    their norms.  The factors are replayed once about them, and the
+    analysis is returned as ``report``.
     """
     analysis = analyze(u, m_raw, n_raw, tol)
     report = analysis.report
     parity = report.chosen_parity
+    pair = analysis.pair
     governing = analysis.governing
     if parity == "odd":
         chain = _odd_chain(u, governing, report.n_min)
     else:
         source = inverse(u) if parity == "even-nm" else u
-        chain = _even_chain(source, governing, tol, report.n_min,
+        chain = _even_chain(source, governing, report.n_min,
                             reaches_gap(analysis.distance, governing.delta))
-    return _finish(chain, u, analysis.pair, parity,
-                   np.asarray(m_raw, dtype=float), np.asarray(n_raw, dtype=float),
-                   tol, reverse=parity == "even-nm", swapped=governing.swapped,
-                   m_flipped=analysis.pair.m_flipped, report=report)
+    return _finish(chain, u, pair, parity, -pair.m if pair.m_flipped else pair.m,
+                   pair.n, reverse=parity == "even-nm", swapped=governing.swapped,
+                   m_flipped=pair.m_flipped, report=report)
 
 
 def verify_decomposition(d: Decomposition, tol: Tolerances = DEFAULT_TOL) -> VerificationReport:

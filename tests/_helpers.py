@@ -118,7 +118,7 @@ def euler_route_counts(u: Su2Element, m, n, tol=DEFAULT_TOL):
     """
     pair = AxisPair.from_axes(m, n, tol)
     governing = pair
-    if overlap_b(pair.m, u, tol) < overlap_b(pair.n, u, tol):
+    if overlap_b(pair.m, u) < overlap_b(pair.n, u):
         governing = pair.swap()
     alpha, beta, gamma = generalized_euler(u, governing)
     delta = governing.delta
@@ -261,7 +261,7 @@ def plan_even(beta_prime: float, delta: float, count: int,
 
 
 def reference_chain(u: Su2Element, pair, parity: str, count: int | None = None,
-                    merged: bool | None = None, tol=DEFAULT_TOL):
+                    merged: bool | None = None):
     """Raw chain of one construction, spelled out slab by slab.
 
     Plans the slabs with :func:`plan_odd` or :func:`plan_even` and solves
@@ -289,7 +289,7 @@ def reference_chain(u: Su2Element, pair, parity: str, count: int | None = None,
         angles += [trips[-1].theta, -trips[-1].gamma + gamma]
         return AxisLabel.M, angles, slabs, None
     source = inverse(u) if parity == "even-nm" else u
-    shifted = compose(rot(pair.l, -delta, tol), source, tol)
+    shifted = compose(rot(pair.l, -delta), source)
     ap, bp, gp = generalized_euler(shifted, pair)
     if count is None:
         count = even_count(bp, delta)
@@ -348,7 +348,7 @@ def reference_decompose_min(u: Su2Element, m, n, tol=DEFAULT_TOL):
     analysis = analyze(u, m, n, tol)
     report, governing = analysis.report, analysis.governing
     merged = reaches_gap(analysis.distance, governing.delta)
-    chain = reference_chain(u, governing, report.chosen_parity, report.n_min, merged, tol)
+    chain = reference_chain(u, governing, report.chosen_parity, report.n_min, merged)
     return reference_factors(chain, u, np.asarray(m, dtype=float), np.asarray(n, dtype=float),
                              reverse=report.chosen_parity == "even-nm",
                              swapped=governing.swapped, m_flipped=analysis.pair.m_flipped,

@@ -1,6 +1,7 @@
-"""The public names each layer module lists in ``__all__``, the packages
-the library imports, and the CLI flags, the ``decompose_min`` parameters
-and the ``Tolerances`` fields README documents.
+"""The public names each layer module lists in ``__all__``, the functions
+that take a tolerance, the packages the library imports, and the CLI
+flags, the ``decompose_min`` parameters and the ``Tolerances`` fields
+README documents.
 
 The benchmark's tracer calls ``getattr`` on every ``__all__`` entry of these
 modules, so a stale entry breaks every traced run, and its per-layer metrics
@@ -44,6 +45,36 @@ def test_traced_functions_stay_listed(name):
     for attr in TRACED[name]:
         assert attr in module.__all__
         assert callable(getattr(module, attr))
+
+
+# Tolerances admit inputs and accept results.  These functions admit or
+# accept; every other function of the layer modules receives admitted
+# values only and takes no ``tol``.
+TOL_TAKERS = {
+    "core": {"unit_axis", "rot", "geodesic", "from_so3"},
+    "counting": {"AxisPair.from_axes", "analyze", "count_min", "lowenthal_bound"},
+    "synthesis": {"decompose_min", "replay_factors", "verify_decomposition", "_rotation"},
+    "oracle": {"minimality_certificate"},
+    "serialization": {"parse_instance", "_parse_target"},
+}
+
+
+def _tol_takers(node, prefix=""):
+    """Qualified names of the functions under ``node`` with a ``tol`` parameter."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            if "tol" in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]:
+                yield prefix + child.name
+            yield from _tol_takers(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _tol_takers(child, f"{prefix}{child.name}.")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_only_admission_and_acceptance_take_tol(name):
+    path = Path(importlib.import_module(f"biaxial.{name}").__file__)
+    assert set(_tol_takers(ast.parse(path.read_text(encoding="utf-8")))) == TOL_TAKERS[name]
 
 
 # The runtime needs nothing beyond the standard library and numpy.

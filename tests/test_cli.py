@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from biaxial import Su2Element, Tolerances
+from biaxial import Su2Element, Tolerances, rot, to_so3
 from biaxial.cli import main
 from biaxial.counting import analyze
 from _helpers import count_analyze_calls, count_replay_calls
@@ -588,6 +588,40 @@ class TestTolOverride:
         code, got = run_cli(tmp_path, capsys, "count", items, ["--tol", "1e-2"])
         assert code == 0
         assert [o["report"] for o in got] == [o["report"] for o in want]
+
+    def test_loose_flag_keeps_so3_lift(self, tmp_path, capsys):
+        # A turn by pi - 2e-7 has w = 1e-7: inside a 1e-6 admission
+        # tolerance, outside the decision window that picks the lift.
+        axis = np.array([0.3, 0.5, 0.8]) / math.sqrt(0.98)
+        item = {"m": EZ, "n": EX,
+                "target": {"so3": to_so3(rot(axis, math.pi - 2e-7)).ravel().tolist()}}
+        code, want = run_cli(tmp_path, capsys, "decompose", item)
+        assert code == 0 and want["target_su2"][0] > 0.0
+        code, got = run_cli(tmp_path, capsys, "decompose", item, ["--tol", "1e-6"])
+        assert code == 0
+        assert (got["target_su2"], got["factors"]) == (want["target_su2"], want["factors"])
+
+    @pytest.mark.parametrize("delta", [1.0, 0.3, 0.05])
+    def test_loose_flag_divides_axes_by_their_norms(self, tmp_path, capsys, delta):
+        # Axes of norm 1.0004 pass --tol 1e-3 admission and are made unit,
+        # so they decompose and verify as unit axes do.  At gap 0.05 their
+        # raw m.n, 0.99955, would be parallel under tol.parallel = 1e-3.
+        rng = np.random.default_rng(9)
+        scale = 1.0004
+        items = []
+        for _ in range(20):
+            q = rng.normal(size=4)
+            items.append({"m": [0.0, 0.0, scale],
+                          "n": [scale * math.sin(delta), 0.0, scale * math.cos(delta)],
+                          "target": {"su2": (q / np.linalg.norm(q)).tolist()}})
+        code, certs = run_cli(tmp_path, capsys, "decompose", items, ["--tol", "1e-3"])
+        assert code == 0
+        assert max(c["residual"] for c in certs) <= 1e-13
+        pairs = [{"instance": i, "certificate": c} for i, c in zip(items, certs)]
+        code, out = run_cli(tmp_path, capsys, "verify", pairs, ["--tol", "1e-3"])
+        assert code == 0
+        assert all(o["ok"] for o in out)
+        assert max(o["residual"] for o in out) <= 1e-13
 
     def test_uniform_sets_every_field(self):
         tol = Tolerances.uniform(1e-6)

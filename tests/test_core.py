@@ -13,6 +13,7 @@ from biaxial import (
     InvalidAxisError,
     InvalidRotationError,
     Su2Element,
+    Tolerances,
     compose,
     euler_zyz,
     from_so3,
@@ -73,6 +74,21 @@ class TestUnitAxis:
         with pytest.raises(InvalidAxisError):
             rot(bad, 0.3)
 
+    def test_divides_admitted_axis_by_its_norm(self):
+        loose = Tolerances.uniform(1e-3)
+        assert unit_axis([0.0, 0.0, 1.0004], loose).tolist() == [0.0, 0.0, 1.0]
+        with pytest.raises(InvalidAxisError):
+            unit_axis([0.0, 0.0, 1.0004])
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            v = random_axis(rng) * (1.0 + 0.999e-3 * rng.uniform(-1.0, 1.0))
+            a = unit_axis(v, loose)
+            assert abs(float(a @ a) - 1.0) <= 8.0 * 2.0 ** -52
+            # Admitting an admitted or already unit axis leaves its bits alone.
+            w = v / np.linalg.norm(v)
+            assert unit_axis(a).tolist() == a.tolist()
+            assert unit_axis(w).tolist() == w.tolist()
+
 
 class TestCompose:
     def test_identity_laws(self):
@@ -94,6 +110,13 @@ class TestCompose:
             a, b = random_su2(rng), random_su2(rng)
             assert matrix_distance(su2_matrix(compose(a, b)),
                                    su2_matrix(a) @ su2_matrix(b)) < 1e-14
+
+    def test_no_renormalisation(self):
+        # The product's norm is the product of the inputs' norms.
+        two = Su2Element(2.0, 0.0, 0.0, 0.0)
+        assert compose(two, IDENTITY) == two
+        u = random_su2(np.random.default_rng(4))
+        assert compose(u, Su2Element(0.0, 0.0, 0.0, 1.0 + 1e-6)).norm_error() > 1e-6
 
 
 class TestInverse:
@@ -174,6 +197,17 @@ class TestFromSo3:
             from_so3(np.diag([1.0, 1.0, 2.0]))
         with pytest.raises(InvalidRotationError):
             from_so3(np.diag([1.0, 1.0, -1.0]))
+
+    def test_lift_ignores_tol(self):
+        # Near a half-turn ``w`` is about 1e-7: inside a 1e-6 admission
+        # tolerance, but the lift is chosen by DECISION_WINDOW alone.
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            d = to_so3(rot(random_axis(rng), math.pi - 2e-7))
+            lifted = from_so3(d)
+            assert lifted.w > 0.0
+            for value in (1e-6, 1e-3):
+                assert from_so3(d, Tolerances.uniform(value)) == lifted
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_entry(self, bad):

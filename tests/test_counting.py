@@ -30,6 +30,7 @@ import biaxial.counting
 import biaxial.synthesis
 from biaxial.core import geodesic, rotate_vector, to_so3
 from biaxial.counting import analyze, ceil_snapped
+from biaxial.oracle import minimality_certificate
 from biaxial.synthesis import decompose_min
 from _helpers import euler_route_counts, random_axis, random_pair, random_su2
 
@@ -476,6 +477,35 @@ class TestNonFiniteTarget:
             count_min(Su2Element(bad, 0.0, 0.0, 1.0), EZ, EX)
         with pytest.raises(InvalidRotationError, match="finite"):
             count_min(Su2Element(0.0, 1.0, bad, 0.0), EZ, EX)
+
+
+class TestTargetAdmission:
+    """Every entry point admits the target as the su2 parser does: squared
+    norm 1 within ``2*tol.norm``."""
+
+    ENTRIES = {
+        "count_min": lambda u, tol: count_min(u, EZ, EX, tol),
+        "decompose_min": lambda u, tol: decompose_min(u, EZ, EX, tol),
+        "minimality_certificate": lambda u, tol: minimality_certificate(
+            u, EZ, EX, starts=4, tol=tol),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("bad", [(0.0, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0),
+                                     (0.0, 0.6, 0.0, 0.6)], ids=["zero", "two", "short"])
+    def test_rejects_off_unit_target(self, entry, bad):
+        with pytest.raises(InvalidRotationError, match="norm 1"):
+            self.ENTRIES[entry](Su2Element(*bad), Tolerances())
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_admits_within_tolerance(self, entry):
+        u = rot(EY, 0.7)
+        near = Su2Element(*(c * (1.0 + 0.4e-9) for c in u.components()))
+        loose = Su2Element(*(c * 1.0004 for c in u.components()))
+        self.ENTRIES[entry](near, Tolerances())
+        self.ENTRIES[entry](loose, Tolerances.uniform(1e-3))
+        with pytest.raises(InvalidRotationError):
+            self.ENTRIES[entry](loose, Tolerances())
 
 
 class TestToleranceIndependence:

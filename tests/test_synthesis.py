@@ -22,14 +22,18 @@ from biaxial import (
     g_count,
     generalized_euler,
     inverse,
+    negate,
     normalize_angle,
     quat_distance,
     replay_factors,
     rot,
     solve_triple,
     Su2Element,
+    Tolerances,
     to_so3,
+    unit_axis,
     verify_decomposition,
+    worst_case_witness,
 )
 from biaxial.synthesis import (
     Decomposition,
@@ -423,7 +427,7 @@ def fold_replay(factors, axis_m, axis_n, tol=DEFAULT_TOL):
     acc = IDENTITY
     for f in factors:
         axis = axis_m if f.label is AxisLabel.M else axis_n
-        acc = compose(acc, rot(axis, f.angle, tol), tol)
+        acc = compose(acc, rot(axis, f.angle, tol))
     return acc
 
 
@@ -467,20 +471,21 @@ class TestReplayKernel:
                 got = replay_factors(factors, m, n)
                 assert hexes(got) == hexes(fold_replay(factors, m, n))
 
-    def test_off_unit_axes_take_the_renormalisation_branch(self):
+    @pytest.mark.parametrize("value,scale", [(1e-9, 1e-9), (1e-3, 4e-4)])
+    def test_off_unit_axes_replay_unit(self, value, scale):
+        # Admission divides an axis off unit norm by its norm, so the
+        # product of 300 factors stays unit to rounding with no
+        # renormalisation, and the fold stays bit-identical.
         rng = np.random.default_rng(110)
-        tol = DEFAULT_TOL
+        tol = Tolerances.uniform(value)
         for _ in range(20):
-            # Raw axes off unit norm by up to tol.norm stay admissible, but
-            # their rotations are not unit quaternions, so compose renormalises.
-            m = random_axis(rng) * (1.0 + tol.norm * rng.uniform(-1.0, 1.0))
-            n = random_axis(rng) * (1.0 + tol.norm * rng.uniform(-1.0, 1.0))
+            m = random_axis(rng) * (1.0 + scale * rng.uniform(-1.0, 1.0))
+            n = random_axis(rng) * (1.0 + scale * rng.uniform(-1.0, 1.0))
             factors = alternating(list(rng.uniform(-7.0, 7.0, size=300)),
                                   rng.choice([AxisLabel.M, AxisLabel.N]))
-            assert any(rot(m if f.label is AxisLabel.M else n, f.angle).norm_error()
-                       > 0.5 * tol.norm for f in factors)
             got = replay_factors(factors, m, n, tol)
             assert got.components() == fold_replay(factors, m, n, tol).components()
+            assert got.norm_error() <= 1e-13
 
     def test_empty_list_is_identity(self):
         assert replay_factors([], EZ, EX) == IDENTITY
@@ -579,39 +584,84 @@ class TestDecomposeMinPinned:
             assert dec.parity == inner.parity
 
     def test_one_replay_per_call(self, monkeypatch):
+        # The chain reproduces the target with its quaternion sign, so one
+        # replay lands on the right lift: on the pinned cases and on edge
+        # targets at gaps pi/2 to 1e-3, with m of both signs and n negated.
         calls = count_replay_calls(monkeypatch)
-        for u, m, n in pinned_cases():
-            for mm in (m, -m):
-                calls.clear()
-                dec = decompose_min(u, mm, n)
-                assert len(calls) == 1
-                assert dec.residual <= 1e-9
+        cases = [(u, mm, n) for u, m, n in pinned_cases() for mm in (m, -m)]
+        cases += edge_cases()
+        for u, m, n in cases:
+            calls.clear()
+            dec = decompose_min(u, m, n)
+            assert len(calls) == 1
+            assert dec.residual <= 1e-9, (u, m, n)
+            assert dec.count == count_min(u, m, n).n_min
 
-    def test_other_lift_costs_one_more_replay(self, monkeypatch):
+    def test_wrong_lift_shows_in_the_residual(self, monkeypatch):
         # Shifting a solved slab's n-angle by 2*pi negates that slab's
-        # product.  Only the last slab is solved, so a chain that solves one
-        # first lands on -u.
-        calls = count_replay_calls(monkeypatch)
+        # product, so a chain that solves one lands on -u: its one replay
+        # reads a residual of about 2.
         solve = synthesis.solve_triple
-        solved = []
 
-        def shifted(*args, **kwargs):
-            solved.append(1)
-            trip = solve(*args, **kwargs)
+        def shifted(*args):
+            trip = solve(*args)
             return trip._replace(theta=trip.theta + 2.0 * math.pi)
 
         monkeypatch.setattr(synthesis, "solve_triple", shifted)
-        flipped = 0
-        for u, m, n in pinned_cases():
-            calls.clear()
-            solved.clear()
-            dec = decompose_min(u, m, n)
-            assert len(solved) <= 1
-            assert len(calls) == 1 + len(solved)
-            assert dec.residual <= 1e-9
-            assert dec.count == count_min(u, m, n).n_min
-            flipped += len(solved)
-        assert flipped > 0
+        residuals = [decompose_min(u, m, n).residual for u, m, n in pinned_cases()]
+        assert max(residuals) > 1.9
+        assert all(r <= 1e-9 or r > 1.9 for r in residuals)
+
+
+def edge_cases():
+    """Seeded (u, m, n) at the corners of the count rule.
+
+    Per gap (pi/2, pi/2 - 1e-10, 1, 0.3, 1e-2, 1e-3): +-identity, half-turns
+    about m, n and l, ``rot(l, +-2k*delta)`` for k = 1, 2, 3, the worst-case
+    witness, products of two and of three factors and Haar targets, each
+    about the axes as given, with m negated and with n negated.
+    """
+    rng = np.random.default_rng(170)
+    cases = []
+    for delta in (0.5 * math.pi, 0.5 * math.pi - 1e-10, 1.0, 0.3, 1e-2, 1e-3):
+        m, n = random_pair(rng, delta, delta)
+        pair = AxisPair.from_axes(m, n)
+        pm, pn, l = pair.m, pair.n, pair.l
+        targets = [IDENTITY, negate(IDENTITY), worst_case_witness(pair)]
+        targets += [rot(v, s * math.pi) for v in (pm, pn, l) for s in (1.0, -1.0)]
+        targets += [rot(l, s * 2.0 * k * pair.delta) for k in (1, 2, 3) for s in (1.0, -1.0)]
+        for _ in range(3):
+            a, b, c = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=3)
+            targets.append(compose(rot(pn, a), rot(pm, b)))
+            targets.append(compose(rot(pm, a), compose(rot(pn, b), rot(pm, c))))
+        targets += [random_su2(rng) for _ in range(4)]
+        cases += [(u, mm, nn) for u in targets for mm, nn in ((m, n), (-m, n), (m, -n))]
+    return cases
+
+
+class TestOffUnitAxes:
+    """Axes off unit norm but within admission decompose exactly as their
+    unit versions do: admission divides them by their norms."""
+
+    @pytest.mark.parametrize("value,scale,delta", [
+        (1e-9, 1e-9, 1.0), (1e-9, -1e-9, 0.3), (1e-3, 4e-4, 1.0),
+        (1e-3, 4e-4, 0.3), (1e-3, 4e-4, 0.05)])
+    def test_residuals_of_unit_versions(self, value, scale, delta):
+        # Scales stop just inside 1 +- tol.norm, whose squared norm sits on
+        # the admission edge.  At gap 0.05 and scale 1.0004, m.n would be
+        # 0.99955 before the division, parallel under tol.parallel = 1e-3.
+        rng = np.random.default_rng(180)
+        tol = Tolerances.uniform(value)
+        m = EZ * (1.0 + 0.999 * scale)
+        n = (math.sin(delta) * EX + math.cos(delta) * EZ) * (1.0 + 0.999 * scale)
+        unit_m, unit_n = unit_axis(m, tol), unit_axis(n, tol)
+        for _ in range(50):
+            u = random_su2(rng)
+            dec = decompose_min(u, m, n, tol)
+            unit = decompose_min(u, unit_m, unit_n)
+            assert dec.factors == unit.factors
+            assert dec.residual == unit.residual <= 1e-13
+            assert verify_decomposition(dec, tol).residual <= 1e-13
 
 
 def small_gap_cases(delta):
