@@ -19,11 +19,11 @@ Exit codes: 0 success, 1 verification or certificate failure, 2 parse or
 validation error or an unreadable input or unwritable output, 3 parallel
 axes, 4 reconstruction residual breach.  A batch exits with the largest
 code of its items; an item that fails with 2 or 3 keeps its slot as
-``{"error": message, "exit": code}``.  The environment variable
-``BIAXIAL_TOL`` overrides the admission and reconstruction tolerances, not
-the counts, the lift of a target or the factors; the ``--tol`` flag
-overrides both, and the environment is then not read.  A tolerance that
-is not a finite number >= 0 exits with code 2.
+``{"error": message, "exit": code}``.  ``--tol X`` sets every tolerance
+to ``X``: the admission of axes and targets, the parallel floor (gaps
+below ``sqrt(2*X)`` exit 3) and the reconstruction bound, not the counts,
+the lift of a target or the factors.  A tolerance that is not a finite
+number >= 0 exits with code 2.
 """
 
 from __future__ import annotations
@@ -74,16 +74,10 @@ def _write_json(path: str, obj: Any) -> None:
             fh.write(text + "\n")
 
 
-def _tolerances(args: argparse.Namespace) -> Tolerances:
-    if args.tol is not None:
-        return Tolerances.uniform(args.tol)
-    return Tolerances.from_env()
-
-
 def _cmd_count(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[int, Any]:
     instance = parse_instance(item, tol)
     result = analyze(instance.target, instance.m, instance.n, tol)
-    cert = make_certificate(result.report, result.governing, instance.target)
+    cert = make_certificate(result.report, result.governing, result.target)
     return EXIT_OK, certificate_to_obj(cert)
 
 
@@ -109,7 +103,7 @@ def _cmd_verify(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[i
     analysis = analyze(instance.target, instance.m, instance.n, tol)
     report = analysis.report
     declared = cert.residual if cert.residual is not None else 0.0
-    dec = Decomposition(factors=cert.factors, target=instance.target,
+    dec = Decomposition(factors=cert.factors, target=analysis.target,
                         axis_m=instance.m, axis_n=instance.n, pair=analysis.pair,
                         parity=cert.parity, residual=declared)
     ver = verify_decomposition(dec, tol)
@@ -125,7 +119,7 @@ def _cmd_verify(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[i
                  and cert.lowenthal == report.lowenthal
                  and cert.swapped is analysis.governing.swapped
                  and cert.m_flipped is analysis.pair.m_flipped
-                 and quat_distance(cert.target_su2, instance.target) <= tol.recon
+                 and quat_distance(cert.target_su2, analysis.target) <= tol.recon
                  and abs(cert.delta - analysis.pair.delta) <= DECISION_WINDOW)
     ok = residual_ok and bounds_ok and claims_ok
     out = {
@@ -185,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", "-i", default="-", help="input file or - for stdin")
         p.add_argument("--output", "-o", default="-", help="output file or - for stdout")
         p.add_argument("--tol", type=float, default=None,
-                       help="override the admission and residual tolerances")
+                       help="set the admission and residual tolerances; gaps "
+                            "below sqrt(2*TOL) are then rejected as parallel")
         if name == "oracle":
             p.add_argument("--starts", type=int, default=64)
             p.add_argument("--seed", type=int, default=0)
@@ -196,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
-        tol = _tolerances(args)
+        tol = Tolerances() if args.tol is None else Tolerances.uniform(args.tol)
     except ValueError as exc:
         print(f"biaxial: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -8,7 +8,6 @@ callers set ``Tolerances`` to admit floating-point inputs, while the fixed
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 DECISION_WINDOW = 1e-9  # snap window of every count and degenerate-angle branch
@@ -16,7 +15,7 @@ DECISION_WINDOW = 1e-9  # snap window of every count and degenerate-angle branch
 
 @dataclass(frozen=True)
 class Tolerances:
-    norm: float = 1e-9  # unit-norm admission for axes (then made unit) and quaternions
+    norm: float = 1e-9  # unit-norm admission of axes and targets (then made unit)
     parallel: float = 1e-9  # |m.n| < 1 - parallel admission for axis pairs
     recon: float = 1e-9  # reconstruction residual bound for decompositions
 
@@ -31,17 +30,6 @@ class Tolerances:
         if not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"tolerance must be finite and >= 0, got {value!r}")
         return cls(norm=value, parallel=value, recon=value)
-
-    @classmethod
-    def from_env(cls, env_var: str = "BIAXIAL_TOL") -> "Tolerances":
-        """Build tolerances, letting the environment override every field."""
-        raw = os.environ.get(env_var)
-        if raw is None:
-            return cls()
-        try:
-            return cls.uniform(float(raw))
-        except ValueError as exc:
-            raise ValueError(f"{env_var}={raw!r}: {exc}") from None
 
 
 DEFAULT_TOL = Tolerances()

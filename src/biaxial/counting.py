@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DECISION_WINDOW, DEFAULT_TOL, Tolerances
-from .core import Su2Element, _arc, compose, rot, rotate_vector, unit_axis
+from .core import Su2Element, _admit_unit, _arc, compose, rot, rotate_vector, unit_axis
 from .errors import AxesParallelError, InvalidRotationError
 
 __all__ = [
@@ -188,8 +188,10 @@ class CountReport:
 
 @dataclass(frozen=True, eq=False)
 class Analysis:
-    """Internal result bundling the governing context with the counts."""
+    """Internal result bundling the admitted target and the governing
+    context with the counts."""
 
+    target: Su2Element  # the admitted target, unit to rounding
     pair: AxisPair  # caller-oriented pair (sign-normalized, not swapped)
     governing: AxisPair  # pair whose m is the governing axis g
     report: CountReport
@@ -200,13 +202,13 @@ def analyze(u: Su2Element, m_raw, n_raw, tol: Tolerances = DEFAULT_TOL) -> Analy
     """Admit the target and the axes, pick the governing axis order and
     count from three sphere distances.
 
-    The target must be finite with squared norm 1 within ``2*tol.norm``,
-    as a parsed su2 target must; else ``InvalidRotationError``.
+    The target is admitted by the rule the axes pass (else
+    ``InvalidRotationError``), and everything after reads the admitted one.
     """
-    # A NaN or infinite component fails the comparison too.
-    if not u.norm_error() <= 2.0 * tol.norm:
-        raise InvalidRotationError(
-            f"target must be finite with norm 1 within tolerance, got {u.components()}")
+    c = u.components()
+    v = _admit_unit(c, tol, InvalidRotationError, "target")
+    if v is not c:
+        u = Su2Element(*v)
     pair = AxisPair.from_axes(m_raw, n_raw, tol)
     governing = pair
     # The closed-form minimum needs the governing axis to carry at least as
@@ -234,7 +236,7 @@ def analyze(u: Su2Element, m_raw, n_raw, tol: Tolerances = DEFAULT_TOL) -> Analy
         lowenthal=_lowenthal_from_delta(delta),
         chosen_parity=(PARITY_ODD, PARITY_EVEN_MN, PARITY_EVEN_NM)[chosen],
     )
-    return Analysis(pair=pair, governing=governing, report=report,
+    return Analysis(target=u, pair=pair, governing=governing, report=report,
                     distance=distances[chosen])
 
 

@@ -327,7 +327,7 @@ def minimality_certificate(u: Su2Element, m_raw, n_raw, starts: int = 64,
     infeasible_ok = True
     if n > 1:
         for first_axis in (AxisLabel.M, AxisLabel.N):
-            result = numeric_search(u, dec.pair, PatternSpec(n - 1, first_axis),
+            result = numeric_search(dec.target, dec.pair, PatternSpec(n - 1, first_axis),
                                     starts=starts, seed=seed,
                                     stop_below=INFEASIBLE_RESIDUAL)
             refutations.append((n - 1, first_axis.value, result.best_residual))

@@ -23,7 +23,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .core import Su2Element, from_euler_zyz, from_so3, rot, unit_axis
+from .core import Su2Element, _admit_unit, from_euler_zyz, from_so3, rot, unit_axis
 from .counting import AxisPair, CountReport
 from .errors import InvalidRotationError
 from .synthesis import AxisLabel, Decomposition, Factor
@@ -84,7 +84,6 @@ def _vector3(obj: Any, name: str) -> list[float]:
 
 def _finite(values: list[float], name: str,
             error: type[ValueError] = InvalidRotationError) -> list[float]:
-    # NaN would pass the norm check (comparisons with NaN are false).
     if not all(math.isfinite(v) for v in values):
         raise error(f"{name} must be finite, got {values}")
     return values
@@ -125,14 +124,8 @@ def _parse_target(obj: Any, tol: Tolerances) -> tuple[Su2Element, str]:
     kind = keys[0]
     value = obj[kind]
     if kind == "su2":
-        comp = _finite(_numbers(value, 4, "su2 target must be [w, x, y, z]"),
-                       "su2 target")
-        norm = sum(c * c for c in comp)
-        if abs(norm - 1.0) > 2.0 * tol.norm:
-            raise InvalidRotationError(
-                f"su2 target norm {norm:.12g} is not 1 within tolerance")
-        scale = 1.0 / norm ** 0.5
-        return Su2Element(*(c * scale for c in comp)), kind
+        comp = _numbers(value, 4, "su2 target must be [w, x, y, z]")
+        return Su2Element(*_admit_unit(comp, tol, InvalidRotationError, "su2 target")), kind
     if kind == "so3":
         entries = _numbers(value, 9, "so3 target must be 9 row-major numbers")
         return from_so3(np.array(entries).reshape(3, 3), tol), kind

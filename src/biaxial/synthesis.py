@@ -398,11 +398,12 @@ def decompose_min(u: Su2Element, m_raw, n_raw,
     count (each slab has a single solution), then maps factor labels and
     angle signs back from the normalized governing axes to the axes as
     given.  ``tol`` admits the target and the axes and reads nothing else;
-    the result's ``axis_m`` and ``axis_n`` are the caller's axes divided by
-    their norms.  The factors are replayed once about them, and the
-    analysis is returned as ``report``.
+    the result's ``target``, ``axis_m`` and ``axis_n`` are the admitted
+    ones, divided by their norms.  The factors are replayed once about the
+    axes, and the analysis is returned as ``report``.
     """
     analysis = analyze(u, m_raw, n_raw, tol)
+    u = analysis.target
     report = analysis.report
     parity = report.chosen_parity
     pair = analysis.pair

@@ -1,5 +1,5 @@
 """The public names each layer module lists in ``__all__``, the functions
-that take a tolerance, the packages the library imports, and the CLI
+that take or read a tolerance, the packages the library imports, and the CLI
 flags, the ``decompose_min`` parameters and the ``Tolerances`` fields
 README documents.
 
@@ -51,7 +51,7 @@ def test_traced_functions_stay_listed(name):
 # accept; every other function of the layer modules receives admitted
 # values only and takes no ``tol``.
 TOL_TAKERS = {
-    "core": {"unit_axis", "rot", "geodesic", "from_so3"},
+    "core": {"_admit_unit", "unit_axis", "rot", "geodesic", "from_so3"},
     "counting": {"AxisPair.from_axes", "analyze", "count_min", "lowenthal_bound"},
     "synthesis": {"decompose_min", "replay_factors", "verify_decomposition", "_rotation"},
     "oracle": {"minimality_certificate"},
@@ -75,6 +75,39 @@ def _tol_takers(node, prefix=""):
 def test_only_admission_and_acceptance_take_tol(name):
     path = Path(importlib.import_module(f"biaxial.{name}").__file__)
     assert set(_tol_takers(ast.parse(path.read_text(encoding="utf-8")))) == TOL_TAKERS[name]
+
+
+# Who reads each tolerance field: ``norm`` only the unit rule and
+# ``from_so3``'s matrix checks, ``parallel`` only the axis-pair admission,
+# ``recon`` only acceptance.
+TOL_READERS = {
+    "norm": {"core._admit_unit", "core.from_so3"},
+    "parallel": {"counting.AxisPair.from_axes"},
+    "recon": {"synthesis.verify_decomposition", "oracle.minimality_certificate",
+              "cli._decomposition_result", "cli._cmd_verify"},
+}
+
+
+def _tol_reads(node, prefix):
+    """``(field, qualified function)`` for each ``tol.<field>`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _tol_reads(child, f"{prefix}{child.name}.")
+        elif (isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name)
+              and child.value.id == "tol"):
+            yield child.attr, prefix.rstrip(".")
+        else:
+            yield from _tol_reads(child, prefix)
+
+
+def test_each_tolerance_field_has_its_readers():
+    readers = {name: set() for name in TOL_READERS}
+    for name in MODULES + ("cli",):
+        path = Path(importlib.import_module(f"biaxial.{name}").__file__)
+        for field, where in _tol_reads(ast.parse(path.read_text(encoding="utf-8")),
+                                       f"{name}."):
+            readers[field].add(where)
+    assert readers == TOL_READERS
 
 
 # The runtime needs nothing beyond the standard library and numpy.

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from biaxial import Su2Element, Tolerances, rot, to_so3
+from biaxial import Su2Element, Tolerances, euler_zyz, rot, to_so3
 from biaxial.cli import main
 from biaxial.counting import analyze
 from _helpers import count_analyze_calls, count_replay_calls
@@ -127,6 +127,14 @@ class TestRemovedOptions:
             main(["decompose", "--input", str(inp)] + flags)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--tol", "1e-9"]], ids=["no-flag", "tol-flag"])
+    def test_tol_env_var_is_not_read(self, tmp_path, capsys, monkeypatch, flags):
+        # The environment sets no tolerance: --tol is the only setting.
+        monkeypatch.setenv("BIAXIAL_TOL", "abc")
+        code, out = run_cli(tmp_path, capsys, "count", WORKED, flags)
+        assert code == 0
+        assert out["count"] == 2
 
 
 class TestVerify:
@@ -532,34 +540,21 @@ class TestTolOverride:
     NEAR = {"m": EZ, "n": [math.sin(1e-3), 0.0, math.cos(1e-3)],
             "target": {"su2": [1.0, 0.0, 0.0, 0.0]}}
 
-    def test_env_var(self, tmp_path, capsys, monkeypatch):
+    def test_flag_loosens_parallel_admission(self, tmp_path, capsys):
         assert run_cli(tmp_path, capsys, "count", self.NEAR)[0] == 0
-        monkeypatch.setenv("BIAXIAL_TOL", "1e-6")
-        code, _ = run_cli(tmp_path, capsys, "count", self.NEAR)
+        code, _ = run_cli(tmp_path, capsys, "count", self.NEAR, ["--tol", "1e-6"])
         assert code == 3  # parallel within the loosened tolerance
 
-    def test_flag_beats_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("BIAXIAL_TOL", "1e-2")
-        assert run_cli(tmp_path, capsys, "count", self.NEAR)[0] == 3
+    def test_flag_sets_the_parallel_floor(self, tmp_path, capsys):
+        # The floor is sqrt(2*tol): about 0.14 under 1e-2, so gap 0.1 exits 3.
+        gap = {"m": EZ, "n": [math.sin(0.1), 0.0, math.cos(0.1)],
+               "target": {"su2": [1.0, 0.0, 0.0, 0.0]}}
+        for item in (self.NEAR, gap):
+            assert run_cli(tmp_path, capsys, "count", item, ["--tol", "1e-2"])[0] == 3
+        assert run_cli(tmp_path, capsys, "count", gap)[0] == 0
         code, out = run_cli(tmp_path, capsys, "count", self.NEAR, ["--tol", "1e-9"])
         assert code == 0
         assert out["count"] == 1
-
-    def test_flag_skips_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("BIAXIAL_TOL", "abc")
-        code, out = run_cli(tmp_path, capsys, "count", WORKED, ["--tol", "1e-9"])
-        assert code == 0
-        assert out["count"] == 2
-
-    def test_bad_env_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("BIAXIAL_TOL", "abc")
-        inp = tmp_path / "in.json"
-        inp.write_text(json.dumps(WORKED))
-        code = main(["count", "--input", str(inp)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "BIAXIAL_TOL" in captured.err
 
     @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
     def test_bad_flag_exits_2(self, tmp_path, capsys, value):
@@ -588,6 +583,33 @@ class TestTolOverride:
         code, got = run_cli(tmp_path, capsys, "count", items, ["--tol", "1e-2"])
         assert code == 0
         assert [o["report"] for o in got] == [o["report"] for o in want]
+
+    def test_zero_flag_admits_rounded_inputs(self, tmp_path, capsys):
+        # numpy-normalised axes and Haar targets in all four encodings are
+        # unit to rounding, which --tol 0 still admits.
+        rng = np.random.default_rng(21)
+        items = []
+        for i in range(60):
+            delta = (0.5 * math.pi, 1.0, 0.3)[i // 20]
+            m = rng.normal(size=3)
+            m /= np.linalg.norm(m)
+            p = rng.normal(size=3)
+            p -= (p @ m) * m
+            n = math.cos(delta) * m + math.sin(delta) * p / np.linalg.norm(p)
+            n /= np.linalg.norm(n)
+            q = rng.normal(size=4)
+            q /= np.linalg.norm(q)
+            u = Su2Element(*q.tolist())
+            s = float(np.linalg.norm(q[1:]))
+            target = ({"su2": q.tolist()},
+                      {"so3": to_so3(u).ravel().tolist()},
+                      {"axis_angle": {"axis": (-q[1:] / s).tolist(),
+                                      "angle": 2.0 * math.atan2(s, q[0])}},
+                      {"euler_zyz": list(euler_zyz(u))})[i % 4]
+            items.append({"m": m.tolist(), "n": n.tolist(), "target": target})
+        code, out = run_cli(tmp_path, capsys, "count", items, ["--tol", "0"])
+        assert [o for o in out if "error" in o] == []
+        assert code == 0
 
     def test_loose_flag_keeps_so3_lift(self, tmp_path, capsys):
         # A turn by pi - 2e-7 has w = 1e-7: inside a 1e-6 admission

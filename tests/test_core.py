@@ -27,7 +27,7 @@ from biaxial import (
     to_so3,
     unit_axis,
 )
-from biaxial.core import from_euler_zyz
+from biaxial.core import _admit_unit, from_euler_zyz
 from _helpers import matrix_distance, random_axis, random_su2, rot_matrix, su2_matrix
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -89,6 +89,38 @@ class TestUnitAxis:
             assert unit_axis(a).tolist() == a.tolist()
             assert unit_axis(w).tolist() == w.tolist()
 
+    def test_message_states_deviation_and_bound(self):
+        with pytest.raises(InvalidAxisError,
+                           match=r"axis must have norm 1: \|n\^2 - 1\| = 2e-06 exceeds 2e-09"):
+            unit_axis([0.0, 0.0, 1.0 + 1e-6])
+        with pytest.raises(InvalidAxisError, match="finite and nonzero"):
+            unit_axis([0.0, 0.0, 0.0], Tolerances.uniform(0.5))
+
+
+class TestUnitRule:
+    """``_admit_unit`` admits axes and targets alike."""
+
+    def test_readmission_keeps_bits(self):
+        # Division leaves a 4-vector's squared norm within 3 float spacings
+        # of 1, inside the floor of 8, so a second admission returns it as is.
+        rng = np.random.default_rng(18)
+        q = rng.normal(size=(200_000, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        q[::2] *= 1.0 + 0.999e-3 * rng.uniform(-1.0, 1.0, size=(100_000, 1))
+        loose = Tolerances.uniform(1e-3)
+        for v in q.tolist():
+            a = _admit_unit(v, loose, InvalidRotationError, "target")
+            assert _admit_unit(a, Tolerances(norm=0.0), InvalidRotationError, "target") is a
+
+    def test_zero_tolerance_keeps_the_rounding_floor(self):
+        eps = 2.0 ** -52
+        for off in (-8.0 * eps, 8.0 * eps):
+            v = [math.sqrt(1.0 + off), 0.0, 0.0, 0.0]
+            assert _admit_unit(v, Tolerances(norm=0.0), InvalidRotationError, "target") is v
+        with pytest.raises(InvalidRotationError, match="norm 1"):
+            _admit_unit([1.0 + 8.0 * eps, 0.0, 0.0, 0.0], Tolerances(norm=0.0),
+                  InvalidRotationError, "target")
+
 
 class TestCompose:
     def test_identity_laws(self):
@@ -116,7 +148,8 @@ class TestCompose:
         two = Su2Element(2.0, 0.0, 0.0, 0.0)
         assert compose(two, IDENTITY) == two
         u = random_su2(np.random.default_rng(4))
-        assert compose(u, Su2Element(0.0, 0.0, 0.0, 1.0 + 1e-6)).norm_error() > 1e-6
+        w = compose(u, Su2Element(0.0, 0.0, 0.0, 1.0 + 1e-6))
+        assert abs(sum(c * c for c in w.components()) - 1.0) > 1e-6
 
 
 class TestInverse:
@@ -215,6 +248,26 @@ class TestFromSo3:
         d[1, 2] = bad
         with pytest.raises(InvalidRotationError, match="finite"):
             from_so3(d)
+
+    def test_message_states_deviations_and_bound(self):
+        with pytest.raises(InvalidRotationError, match=r"\|M\^T M - I\| = 3 and "
+                                                       r"\|det - 1\| = 1, bound 4e-09"):
+            from_so3(np.diag([1.0, 1.0, 2.0]))
+
+    def test_zero_tolerance_admits_rounded_matrices(self):
+        # Matrices of unit quaternions, from to_so3 and from the Hamilton
+        # form, are off orthogonal and det 1 by rounding alone.
+        rng = np.random.default_rng(14)
+        tol = Tolerances(norm=0.0)
+        for _ in range(5000):
+            u = random_su2(rng)
+            w, x, y, z = u.w, -u.x, -u.y, -u.z
+            hamilton = np.array([
+                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+            for d in (to_so3(u), hamilton):
+                assert from_so3(d, tol) == from_so3(d)
 
 
 class TestEulerZyz:

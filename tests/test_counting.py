@@ -21,6 +21,7 @@ from biaxial import (
     m_odd_count,
     negate,
     overlap_b,
+    quat_distance,
     rot,
     solve_triple,
     worst_case_witness,
@@ -480,8 +481,9 @@ class TestNonFiniteTarget:
 
 
 class TestTargetAdmission:
-    """Every entry point admits the target as the su2 parser does: squared
-    norm 1 within ``2*tol.norm``."""
+    """Every entry point admits the target by the rule the axes pass:
+    squared norm 1 within ``max(2*tol.norm, rounding)``, then divided by its
+    norm."""
 
     ENTRIES = {
         "count_min": lambda u, tol: count_min(u, EZ, EX, tol),
@@ -506,6 +508,22 @@ class TestTargetAdmission:
         self.ENTRIES[entry](loose, Tolerances.uniform(1e-3))
         with pytest.raises(InvalidRotationError):
             self.ENTRIES[entry](loose, Tolerances())
+
+    def test_loose_target_is_divided_by_its_norm(self):
+        u = rot(EY, 0.7)
+        loose = Su2Element(*(c * 1.0004 for c in u.components()))
+        dec = decompose_min(loose, EZ, EX, Tolerances.uniform(1e-3))
+        assert dec.residual <= 1e-14  # 4.0e-4, the norm error, undivided
+        assert quat_distance(dec.target, u) <= 1e-15
+        assert analyze(dec.target, EZ, EX).target is dec.target
+
+    def test_zero_norm_tolerance_admits_numpy_normalised_inputs(self):
+        # np.linalg.norm leaves squared norms a few float spacings off 1.
+        rng = np.random.default_rng(18)
+        tol = Tolerances(norm=0.0)
+        for _ in range(200):
+            u, m, n = random_su2(rng), random_axis(rng), random_axis(rng)
+            assert count_min(u, m, n, tol) == count_min(u, m, n)
 
 
 class TestToleranceIndependence:

@@ -485,7 +485,7 @@ class TestReplayKernel:
                                   rng.choice([AxisLabel.M, AxisLabel.N]))
             got = replay_factors(factors, m, n, tol)
             assert got.components() == fold_replay(factors, m, n, tol).components()
-            assert got.norm_error() <= 1e-13
+            assert abs(sum(c * c for c in got.components()) - 1.0) <= 1e-13
 
     def test_empty_list_is_identity(self):
         assert replay_factors([], EZ, EX) == IDENTITY
