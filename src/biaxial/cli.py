@@ -19,7 +19,11 @@ Exit codes: 0 success, 1 verification or certificate failure, 2 parse or
 validation error or an unreadable input or unwritable output, 3 parallel
 axes, 4 reconstruction residual breach.  A batch exits with the largest
 code of its items; an item that fails with 2 or 3 keeps its slot as
-``{"error": message, "exit": code}``.  ``--tol X`` sets every tolerance
+``{"error": message, "exit": code}``.  Parsing checks the JSON shapes;
+each command admits the axes and the target once, in the library call
+that answers it (an ``so3`` or ``axis_angle`` target is admitted as it is
+read), and ``verify`` admits the instance before it reads the
+certificate.  ``--tol X`` sets every tolerance
 to ``X``: the admission of axes and targets, the parallel floor (gaps
 below ``sqrt(2*X)`` exit 3) and the reconstruction bound, not the counts,
 the lift of a target or the factors.  A tolerance that is not a finite
@@ -31,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Any
 
 from .config import DECISION_WINDOW, Tolerances
@@ -41,7 +46,6 @@ from .oracle import PatternSpec, geodesic_bound_check, minimality_certificate
 from .serialization import (
     _vector3,
     certificate_to_obj,
-    make_certificate,
     parse_certificate,
     parse_instance,
 )
@@ -77,14 +81,12 @@ def _write_json(path: str, obj: Any) -> None:
 def _cmd_count(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[int, Any]:
     instance = parse_instance(item, tol)
     result = analyze(instance.target, instance.m, instance.n, tol)
-    cert = make_certificate(result.report, result.governing, result.target)
-    return EXIT_OK, certificate_to_obj(cert)
+    return EXIT_OK, certificate_to_obj(result.report, result.governing, result.target)
 
 
 def _decomposition_result(dec: Decomposition, tol: Tolerances) -> tuple[int, Any]:
-    cert = make_certificate(dec.report, dec.pair, dec.target, dec)
     code = EXIT_RESIDUAL if dec.residual > tol.recon else EXIT_OK
-    return code, certificate_to_obj(cert)
+    return code, certificate_to_obj(dec.report, dec.pair, dec.target, dec)
 
 
 def _cmd_decompose(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[int, Any]:
@@ -97,11 +99,11 @@ def _cmd_verify(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[i
     if not isinstance(item, dict) or "instance" not in item or "certificate" not in item:
         raise ValueError('verify input must be {"instance": ..., "certificate": ...}')
     instance = parse_instance(item["instance"], tol)
+    analysis = analyze(instance.target, instance.m, instance.n, tol)
+    report = analysis.report
     cert = parse_certificate(item["certificate"])
     if cert.factors is None:
         raise ValueError("certificate has no factors to replay")
-    analysis = analyze(instance.target, instance.m, instance.n, tol)
-    report = analysis.report
     declared = cert.residual if cert.residual is not None else 0.0
     dec = Decomposition(factors=cert.factors, target=analysis.target,
                         axis_m=instance.m, axis_n=instance.n, pair=analysis.pair,
@@ -146,17 +148,9 @@ def _cmd_oracle(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[i
     instance = parse_instance(item, tol)
     report = minimality_certificate(instance.target, instance.m, instance.n,
                                     starts=args.starts, seed=args.seed, tol=tol)
-    out = {
-        "passed": report.passed,
-        "n_min": report.n_min,
-        "construction_residual": report.construction_residual,
-        "construction_count": report.construction_count,
-        "refutations": [
-            {"k": k, "first_axis": axis, "best_residual": res}
-            for (k, axis, res) in report.refutations
-        ],
-        "skipped_zero_length": report.skipped_zero_length,
-    }
+    out = asdict(report)
+    out["refutations"] = [dict(zip(("k", "first_axis", "best_residual"), r))
+                          for r in report.refutations]
     return (EXIT_OK if report.passed else EXIT_FAIL), out
 
 

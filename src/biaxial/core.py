@@ -134,7 +134,11 @@ def rot(axis, theta: float, tol: Tolerances = DEFAULT_TOL) -> Su2Element:
     Returns ``(cos(theta/2), -v*sin(theta/2))``; note ``rot(v, theta + 2*pi)``
     is the negation of ``rot(v, theta)``.
     """
-    v = unit_axis(axis, tol)
+    return _rot(unit_axis(axis, tol), theta)
+
+
+def _rot(v, theta: float) -> Su2Element:
+    """:func:`rot` about an axis already admitted."""
     half = 0.5 * theta
     c, s = math.cos(half), math.sin(half)
     return Su2Element(c, -v[0] * s, -v[1] * s, -v[2] * s)

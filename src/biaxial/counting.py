@@ -198,6 +198,15 @@ class Analysis:
     distance: float  # the sphere distance that decides the chosen parity
 
 
+def _deciding_distances(u: Su2Element, pair: AxisPair) -> tuple[float, float, float]:
+    """``d(D m, m)``, ``d(D m, n)`` and ``d(D n, m)`` for the pair's axes:
+    the distances that decide the odd, even-mn and even-nm counts."""
+    m = pair.m.tolist()  # admitted unit axes; D keeps norms
+    n = pair.n.tolist()
+    dm = rotate_vector(u, m)
+    return _arc(dm, m), _arc(dm, n), _arc(rotate_vector(u, n), m)
+
+
 def analyze(u: Su2Element, m_raw, n_raw, tol: Tolerances = DEFAULT_TOL) -> Analysis:
     """Admit the target and the axes, pick the governing axis order and
     count from three sphere distances.
@@ -216,10 +225,7 @@ def analyze(u: Su2Element, m_raw, n_raw, tol: Tolerances = DEFAULT_TOL) -> Analy
     # caller's order for determinism.
     if overlap_b(pair.m, u) < overlap_b(pair.n, u):
         governing = pair.swap()
-    g = governing.m.tolist()  # admitted unit axes; D keeps norms
-    h = governing.n.tolist()
-    dg = rotate_vector(u, g)
-    distances = (_arc(dg, g), _arc(dg, h), _arc(rotate_vector(u, h), g))
+    distances = _deciding_distances(u, governing)
     delta = governing.delta
     counts = (m_odd_count(distances[0], delta),
               even_count(distances[1], delta),

@@ -1,10 +1,10 @@
 """Independent verification of minimal counts.
 
-Two tools: necessary-condition checks based on how far an alternating
-product can move the base axis on the sphere (each factor advances the
-geodesic position by at most the axis gap), and a multistart derivative-free
-search that certifies, at desk scale, that no shorter alternating product
-reaches the target.
+Two tools: an exact check of how far an alternating product can move the
+base axis on the sphere (each factor advances the geodesic position by at
+most the axis gap; two factors advance it by exactly the gap), and a
+multistart derivative-free search that shows, at desk scale, that no
+shorter alternating product reaches the target.
 
 The search exploits the product being linear in ``(cos(theta_i/2),
 sin(theta_i/2))`` for each angle separately: every coordinate has a closed
@@ -85,7 +85,8 @@ class GeodesicBoundReport:
     """The deciding sphere-distance bound for one rotation and one pattern.
 
     ``distance`` is ``d(D a, a)`` for an odd pattern and ``d(D a, b)`` for
-    an even one, and ``bound`` is ``(length - 1) * delta``.
+    an even one, and ``bound`` is ``(length - 1) * delta``: the most the
+    distance may be, or at length 2 what it must be.
     """
 
     length: int
@@ -106,25 +107,26 @@ class MinimalityReport:
 
 def geodesic_bound_check(u: Su2Element, pair: AxisPair,
                          pattern: PatternSpec) -> GeodesicBoundReport:
-    """Sphere-distance bound ``u`` meets if an alternating product of the
-    pattern equals it.
+    """Sphere-distance bound ``u`` meets exactly when an alternating
+    product of the pattern equals it.
 
     ``a`` is the pattern's first applied axis and ``b`` the other one, both
     read by label from the sign-normalized ``pair``; ``D`` is the rotation
-    of ``u`` and ``delta`` the axis gap.  A product of odd length ``k``
-    satisfies ``d(D a, a) <= (k-1)*delta`` and one of even length ``k``
-    satisfies ``d(D a, b) <= (k-1)*delta``; the other distance's bound
-    (``k*delta``) follows by the triangle inequality.  A failed bound
-    proves that no product of the pattern equals ``u``; passing proves
-    nothing.
+    of ``u`` and ``delta`` the axis gap, in ``(0, pi/2]``.  A product of
+    odd length ``k`` has ``d(D a, a) <= (k-1)*delta``, one of length 2 has
+    ``d(D a, b) = delta`` and one of even length ``k >= 4`` has
+    ``d(D a, b) <= (k-1)*delta``; the other distance's bound (``k*delta``)
+    follows by the triangle inequality.  Each condition is also
+    sufficient, so up to ``BOUND_SLACK`` a failed check proves that no
+    product of the pattern equals ``u`` and a passed one that some does.
     """
     a = (pair.m if pattern.first_axis is AxisLabel.M else pair.n).tolist()
     b = (pair.n if pattern.first_axis is AxisLabel.M else pair.m).tolist()
     k = pattern.k
     distance = _arc(rotate_vector(u, a), a if k % 2 else b)
     bound = (k - 1) * pair.delta
-    return GeodesicBoundReport(length=k, distance=distance, bound=bound,
-                               passed=distance <= bound + BOUND_SLACK)
+    passed = (abs(distance - bound) if k == 2 else distance - bound) <= BOUND_SLACK
+    return GeodesicBoundReport(length=k, distance=distance, bound=bound, passed=passed)
 
 
 def _left_pure(v) -> np.ndarray:
@@ -316,9 +318,12 @@ def minimality_certificate(u: Su2Element, m_raw, n_raw, starts: int = 64,
     """Certify the closed-form count at desk scale.
 
     Passes when the constructed sequence of the claimed length reproduces the
-    target within ``tol.recon`` and every alternating pattern one factor
-    shorter (both first-axis choices) stays above the infeasibility residual
-    under multistart search.  Infeasibility is evidence, not proof.
+    target within ``tol.recon`` and no alternating pattern one factor
+    shorter (both first-axis choices) reaches it.  A pattern reaches it when
+    multistart search gets within the infeasibility residual and its
+    geodesic bound check passes: near a count boundary the search gets that
+    close to targets that no product of the pattern equals.  A search that
+    stays above the residual is evidence, not proof.
     """
     dec = decompose_min(u, m_raw, n_raw, tol=tol)
     n = dec.report.n_min
@@ -327,11 +332,12 @@ def minimality_certificate(u: Su2Element, m_raw, n_raw, starts: int = 64,
     infeasible_ok = True
     if n > 1:
         for first_axis in (AxisLabel.M, AxisLabel.N):
-            result = numeric_search(dec.target, dec.pair, PatternSpec(n - 1, first_axis),
-                                    starts=starts, seed=seed,
-                                    stop_below=INFEASIBLE_RESIDUAL)
+            pattern = PatternSpec(n - 1, first_axis)
+            result = numeric_search(dec.target, dec.pair, pattern, starts=starts,
+                                    seed=seed, stop_below=INFEASIBLE_RESIDUAL)
             refutations.append((n - 1, first_axis.value, result.best_residual))
-            if result.best_residual <= INFEASIBLE_RESIDUAL:
+            if (result.best_residual <= INFEASIBLE_RESIDUAL
+                    and geodesic_bound_check(dec.target, dec.pair, pattern).passed):
                 infeasible_ok = False
     return MinimalityReport(passed=construction_ok and infeasible_ok,
                             n_min=n,

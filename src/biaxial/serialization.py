@@ -8,6 +8,10 @@ encodings::
     {"target": {"axis_angle": {"axis": [x,y,z], "angle": t}}}
     {"target": {"euler_zyz": [alpha, beta, gamma]}}
 
+Parsing checks shapes and JSON numbers; the axes and an ``su2`` target are
+admitted by the entry point that reads them, while ``so3`` and
+``axis_angle`` targets are admitted as they become quaternions.
+
 A certificate records the factor sequence in product order (factors apply
 right to left), the achieved residual, the counts, and the exact quaternion
 lift of the target that was used, so it can be replayed and its claims
@@ -17,13 +21,13 @@ read against a fresh analysis of the instance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .core import Su2Element, _admit_unit, from_euler_zyz, from_so3, rot, unit_axis
+from .core import Su2Element, from_euler_zyz, from_so3, rot
 from .counting import AxisPair, CountReport
 from .errors import InvalidRotationError
 from .synthesis import AxisLabel, Decomposition, Factor
@@ -34,8 +38,6 @@ __all__ = [
     "parse_instance",
     "parse_certificate",
     "certificate_to_obj",
-    "instance_to_obj",
-    "make_certificate",
 ]
 
 TARGET_ENCODINGS = ("su2", "so3", "axis_angle", "euler_zyz")
@@ -43,12 +45,13 @@ TARGET_ENCODINGS = ("su2", "so3", "axis_angle", "euler_zyz")
 
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
-    """Axes plus a target rotation, already admitted and lifted to SU(2)."""
+    """Axes and a target lifted to SU(2), as read: the axes and an ``su2``
+    target are not yet admitted (``analyze`` admits them), while an ``so3``
+    matrix and an ``axis_angle`` axis were admitted on the way in."""
 
-    m: np.ndarray
-    n: np.ndarray
+    m: list[float]
+    n: list[float]
     target: Su2Element
-    target_encoding: str
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,7 @@ def _text(obj: Any, name: str) -> str:
     raise ValueError(f"{name} must be a string, got {obj!r}")
 
 
-def _parse_target(obj: Any, tol: Tolerances) -> tuple[Su2Element, str]:
+def _parse_target(obj: Any, tol: Tolerances) -> Su2Element:
     if not isinstance(obj, Mapping):
         raise ValueError("target must be an object with one encoding key")
     keys = [k for k in TARGET_ENCODINGS if k in obj]
@@ -124,21 +127,20 @@ def _parse_target(obj: Any, tol: Tolerances) -> tuple[Su2Element, str]:
     kind = keys[0]
     value = obj[kind]
     if kind == "su2":
-        comp = _numbers(value, 4, "su2 target must be [w, x, y, z]")
-        return Su2Element(*_admit_unit(comp, tol, InvalidRotationError, "su2 target")), kind
+        return Su2Element(*_numbers(value, 4, "su2 target must be [w, x, y, z]"))
     if kind == "so3":
         entries = _numbers(value, 9, "so3 target must be 9 row-major numbers")
-        return from_so3(np.array(entries).reshape(3, 3), tol), kind
+        return from_so3(np.array(entries).reshape(3, 3), tol)
     if kind == "axis_angle":
         if not isinstance(value, Mapping) or "axis" not in value or "angle" not in value:
             raise ValueError('axis_angle target must be {"axis": [...], "angle": t}')
         axis = _vector3(value["axis"], "axis_angle.axis")
         angle, = _finite(_numbers([value["angle"]], 1, "axis_angle.angle must be a number"),
                          "axis_angle target")
-        return rot(axis, angle, tol), kind
+        return rot(axis, angle, tol)
     triple = _finite(_numbers(value, 3, "euler_zyz target must be [alpha, beta, gamma]"),
                      "euler_zyz target")
-    return from_euler_zyz(*triple), kind
+    return from_euler_zyz(*triple)
 
 
 def parse_instance(obj: Any, tol: Tolerances = DEFAULT_TOL) -> ProblemInstance:
@@ -147,31 +149,8 @@ def parse_instance(obj: Any, tol: Tolerances = DEFAULT_TOL) -> ProblemInstance:
     for key in ("m", "n", "target"):
         if key not in obj:
             raise ValueError(f"instance is missing required key {key!r}")
-    m = unit_axis(_vector3(obj["m"], "m"), tol)
-    n = unit_axis(_vector3(obj["n"], "n"), tol)
-    target, encoding = _parse_target(obj["target"], tol)
-    return ProblemInstance(m=m, n=n, target=target, target_encoding=encoding)
-
-
-def instance_to_obj(instance: ProblemInstance) -> dict:
-    return {
-        "m": [float(v) for v in instance.m],
-        "n": [float(v) for v in instance.n],
-        "target": {"su2": list(instance.target.components())},
-    }
-
-
-def _report_to_obj(report: CountReport) -> dict:
-    return {
-        "n_min": report.n_min,
-        "m_odd": report.m_odd,
-        "m_even_mn": report.m_even_mn,
-        "m_even_nm": report.m_even_nm,
-        "beta": report.beta,
-        "beta_prime": report.beta_prime,
-        "lowenthal": report.lowenthal,
-        "chosen_parity": report.chosen_parity,
-    }
+    return ProblemInstance(m=_vector3(obj["m"], "m"), n=_vector3(obj["n"], "n"),
+                           target=_parse_target(obj["target"], tol))
 
 
 def _report_from_obj(obj: Mapping) -> CountReport:
@@ -185,48 +164,31 @@ def _report_from_obj(obj: Mapping) -> CountReport:
     )
 
 
-def make_certificate(report: CountReport, pair: AxisPair, target: Su2Element,
-                     decomposition: Decomposition | None = None) -> Certificate:
-    """Certificate of a count, or of a decomposition when one is given.
+def certificate_to_obj(report: CountReport, pair: AxisPair, target: Su2Element,
+                       decomposition: Decomposition | None = None) -> dict:
+    """JSON certificate of a count, or of a decomposition when one is given.
 
-    ``pair`` supplies the gap and the m sign flip.  ``swapped`` comes from
-    the decomposition when one is given and from ``pair`` otherwise, so a
-    count certificate is made from the analysis's governing pair.
+    ``pair`` supplies the gap and the m sign flip.  The count, the parity
+    and ``swapped`` come from the decomposition when one is given and from
+    ``report`` and ``pair`` otherwise, so a count certificate is made from
+    the analysis's governing pair.
     """
-    factors = None
-    residual = None
-    parity = report.chosen_parity
-    swapped = pair.swapped
-    if decomposition is not None:
-        factors = decomposition.factors
-        residual = decomposition.residual
-        parity = decomposition.parity
-        swapped = decomposition.swapped
-    count = report.n_min if decomposition is None else decomposition.count
-    return Certificate(count=count, parity=parity, lowenthal=report.lowenthal,
-                       target_su2=target, report=report, delta=pair.delta,
-                       m_flipped=pair.m_flipped, swapped=swapped,
-                       factors=factors, residual=residual)
-
-
-def certificate_to_obj(cert: Certificate) -> dict:
+    dec = decomposition
     obj: dict = {
-        "count": cert.count,
-        "parity": cert.parity,
-        "lowenthal": cert.lowenthal,
-        "delta": cert.delta,
-        "m_flipped": cert.m_flipped,
-        "swapped": cert.swapped,
-        "target_su2": list(cert.target_su2.components()),
-        "report": _report_to_obj(cert.report),
+        "count": report.n_min if dec is None else dec.count,
+        "parity": report.chosen_parity if dec is None else dec.parity,
+        "lowenthal": report.lowenthal,
+        "delta": pair.delta,
+        "m_flipped": pair.m_flipped,
+        "swapped": pair.swapped if dec is None else dec.swapped,
+        "target_su2": list(target.components()),
+        "report": asdict(report),
         # Factors multiply left to right but apply to vectors right to left.
         "order": "right-to-left",
     }
-    if cert.factors is not None:
-        obj["factors"] = [{"axis": f.label.value, "angle": f.angle}
-                          for f in cert.factors]
-    if cert.residual is not None:
-        obj["residual"] = cert.residual
+    if dec is not None:
+        obj["factors"] = [{"axis": f.label.value, "angle": f.angle} for f in dec.factors]
+        obj["residual"] = dec.residual
     return obj
 
 

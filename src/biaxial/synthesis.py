@@ -37,17 +37,17 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import DECISION_WINDOW, DEFAULT_TOL, Tolerances
-from .counting import (AxisPair, CountReport, analyze, even_count,
-                       m_odd_count, reaches_gap)
+from .counting import (AxisPair, CountReport, _deciding_distances, analyze,
+                       even_count, m_odd_count, reaches_gap)
 from .core import (
     IDENTITY,
     Su2Element,
+    _rot,
     compose,
     generalized_euler,
     inverse,
     normalize_angle,
     quat_distance,
-    rot,
     unit_axis,
 )
 from .errors import InfeasibleSlabError
@@ -199,9 +199,9 @@ def _blocked(head: tuple[float, ...], block: tuple[float, float], reps: int,
     return head + block + tail, len(head), reps - 1
 
 
-def _odd_chain(u: Su2Element, pair: AxisPair, count: int | None = None) -> _Chain:
+def _odd_chain(u: Su2Element, pair: AxisPair, count: int) -> _Chain:
     """Raw angles of the odd construction m, n, m, ..., m of ``count``
-    factors (default: the odd rule on the middle Euler angle).
+    factors.
 
     The middle angle is cut into ``(count - 1) / 2`` slabs, all but the
     last a full ``2*delta`` with triple ``(0, pi, pi)``: three angles per
@@ -211,8 +211,6 @@ def _odd_chain(u: Su2Element, pair: AxisPair, count: int | None = None) -> _Chai
     """
     delta = pair.delta
     alpha, beta, gamma = generalized_euler(u, pair)
-    if count is None:
-        count = m_odd_count(beta, delta)
     k = (count - 1) // 2
     if k <= 0:
         return _Chain(AxisLabel.M, (alpha + gamma,), 0, 0, None)
@@ -226,10 +224,9 @@ def _odd_chain(u: Su2Element, pair: AxisPair, count: int | None = None) -> _Chai
     return _Chain(AxisLabel.M, angles, at, extra, None)
 
 
-def _even_chain(u: Su2Element, pair: AxisPair,
-                count: int | None = None, merged: bool = False) -> _Chain:
+def _even_chain(u: Su2Element, pair: AxisPair, count: int, merged: bool) -> _Chain:
     """Raw angles of the even construction n, m, ..., n, m of ``count``
-    factors (default: the even rule on the shifted middle Euler angle).
+    factors, merged or not as :func:`~biaxial.counting.reaches_gap` says.
 
     ``beta_prime + delta`` is cut into slabs.  A merged chain has ``count /
     2`` of them: the first is pinned to a full ``2*delta`` with triple
@@ -239,10 +236,8 @@ def _even_chain(u: Su2Element, pair: AxisPair,
     slab.  Only the last slab is solved; the pinned slab never is.
     """
     delta = pair.delta
-    shifted = compose(rot(pair.l, -delta), u)
+    shifted = compose(_rot(pair.l, -delta), u)
     ap, bp, gp = generalized_euler(shifted, pair)
-    if count is None:
-        count, merged = even_count(bp, delta), reaches_gap(bp, delta)
     if not merged:
         trip = solve_triple(bp + delta, delta)
         angles = (ap, -trip.alpha, trip.theta, -trip.gamma + gp)
@@ -358,10 +353,12 @@ def _rotation(f: Factor, axes: list, axis_m, axis_n,
 def decompose_odd(u: Su2Element, pair: AxisPair) -> Decomposition:
     """Odd-length sequence m, n, m, ..., m realising ``u`` about the pair.
 
-    Length is ``2*ceil(beta/(2*delta)) + 1``; a vanishing middle angle gives
-    the single bare m-rotation.
+    Length is the odd rule on ``d(D m, m)``, the middle Euler angle
+    ``beta``: ``2*ceil(beta/(2*delta)) + 1``; a vanishing middle angle
+    gives the single bare m-rotation.
     """
-    chain = _odd_chain(u, pair)
+    d = _deciding_distances(u, pair)[0]
+    chain = _odd_chain(u, pair, m_odd_count(d, pair.delta))
     return _finish(chain, u, pair, "odd", pair.m, pair.n)
 
 
@@ -373,9 +370,11 @@ def decompose_even(u: Su2Element, pair: AxisPair) -> Decomposition:
     m-angle is zeroed and the two leading n-rotations merge, giving
     ``2*ceil(beta'/(2*delta) + 1/2)`` factors, else four.  The merge pins
     the first slab to a full ``2*delta``, whose triple ``(0, pi, pi)`` has
-    the zero m-angle it needs.
+    the zero m-angle it needs.  Count and merge are read from ``d(D m, n)``,
+    which is ``beta'``.
     """
-    chain = _even_chain(u, pair)
+    d = _deciding_distances(u, pair)[1]
+    chain = _even_chain(u, pair, even_count(d, pair.delta), reaches_gap(d, pair.delta))
     return _finish(chain, u, pair, "even-mn", pair.m, pair.n)
 
 
@@ -384,9 +383,11 @@ def decompose_even_reversed(u: Su2Element, pair: AxisPair) -> Decomposition:
 
     Decomposes the inverse target, then reverses the list and negates every
     angle; the factor count becomes the even minimum for the opposite axis
-    order.
+    order, read from ``d(D n, m)``.
     """
-    chain = _even_chain(inverse(u), pair)
+    d = _deciding_distances(u, pair)[2]
+    chain = _even_chain(inverse(u), pair, even_count(d, pair.delta),
+                        reaches_gap(d, pair.delta))
     return _finish(chain, u, pair, "even-nm", pair.m, pair.n, reverse=True)
 
 

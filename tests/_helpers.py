@@ -12,8 +12,10 @@ import math
 import numpy as np
 
 import biaxial.cli
+import biaxial.core
 import biaxial.counting
 import biaxial.oracle
+import biaxial.serialization
 import biaxial.synthesis
 from biaxial import (
     DEFAULT_TOL,
@@ -195,6 +197,26 @@ def count_analyze_calls(monkeypatch) -> list:
 
     for module in (biaxial.counting, biaxial.synthesis, biaxial.cli):
         monkeypatch.setattr(module, "analyze", counted)
+    return calls
+
+
+def count_admit_calls(monkeypatch) -> list:
+    """Record every ``core._admit_unit`` call (the unit rule), wherever the
+    library binds it.
+
+    Returns the list that grows by one entry per call.
+    """
+    calls = []
+    admit_fn = biaxial.core._admit_unit
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return admit_fn(*args, **kwargs)
+
+    for module in (biaxial.core, biaxial.counting, biaxial.synthesis, biaxial.oracle,
+                   biaxial.serialization, biaxial.cli):
+        if hasattr(module, "_admit_unit"):
+            monkeypatch.setattr(module, "_admit_unit", counted)
     return calls
 
 

@@ -1,7 +1,7 @@
 """The public names each layer module lists in ``__all__``, the functions
-that take or read a tolerance, the packages the library imports, and the CLI
-flags, the ``decompose_min`` parameters and the ``Tolerances`` fields
-README documents.
+that take or read a tolerance, the private names that cross modules, the
+packages the library imports, and the CLI flags, the ``decompose_min``
+parameters and the ``Tolerances`` fields README documents.
 
 The benchmark's tracer calls ``getattr`` on every ``__all__`` entry of these
 modules, so a stale entry breaks every traced run, and its per-layer metrics
@@ -108,6 +108,28 @@ def test_each_tolerance_field_has_its_readers():
                                        f"{name}."):
             readers[field].add(where)
     assert readers == TOL_READERS
+
+
+# Private names one module imports from another, and who imports them: each
+# decision has one home, so a second admission or count route fails here.
+PRIVATE_IMPORTS = {
+    "_admit_unit": {"counting"},
+    "_arc": {"counting", "oracle"},
+    "_deciding_distances": {"synthesis"},
+    "_rot": {"synthesis"},
+    "_vector3": {"cli"},
+}
+
+
+def test_private_names_cross_modules_only_as_listed():
+    importers = {}
+    for path in Path(biaxial.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        importers.setdefault(alias.name, set()).add(path.stem)
+    assert importers == PRIVATE_IMPORTS
 
 
 # The runtime needs nothing beyond the standard library and numpy.

@@ -9,7 +9,7 @@ import pytest
 from biaxial import Su2Element, Tolerances, euler_zyz, rot, to_so3
 from biaxial.cli import main
 from biaxial.counting import analyze
-from _helpers import count_analyze_calls, count_replay_calls
+from _helpers import count_admit_calls, count_analyze_calls, count_replay_calls
 
 EX = [1.0, 0.0, 0.0]
 EY = [0.0, 1.0, 0.0]
@@ -407,6 +407,43 @@ class TestOneAnalysis:
         assert code == 0
         assert all(o["count"] == o["lowenthal"] for o in out)
         assert len(calls) == len(items)
+
+
+class TestOneAdmission:
+    """Each su2 item's axes and target pass the unit rule once, in the
+    analysis; ``decompose`` and ``verify`` add the replay's admission of the
+    two axes."""
+
+    @staticmethod
+    def su2_items():
+        rng = np.random.default_rng(21)
+        items = []
+        for i in range(12):
+            delta = (0.5 * math.pi, 1.0, 0.3)[i % 3]
+            q = rng.normal(size=4)
+            m = EZ if i % 2 else [0.0, 0.0, -1.0]
+            items.append({"m": m, "n": [math.sin(delta), 0.0, math.cos(delta)],
+                          "target": {"su2": [float(v) for v in q / np.linalg.norm(q)]}})
+        return items
+
+    @pytest.mark.parametrize("command,per_item", [("count", 3), ("decompose", 5)])
+    def test_admissions_per_item(self, tmp_path, capsys, monkeypatch, command, per_item):
+        items = self.su2_items()
+        calls = count_admit_calls(monkeypatch)
+        code, out = run_cli(tmp_path, capsys, command, items)
+        assert code == 0
+        assert all(o["count"] >= 2 for o in out)  # the replay uses both axes
+        assert len(calls) == per_item * len(items)
+
+    def test_verify_admissions_per_item(self, tmp_path, capsys, monkeypatch):
+        items = self.su2_items()
+        code, certs = run_cli(tmp_path, capsys, "decompose", items)
+        assert code == 0 and all(c["count"] >= 2 for c in certs)
+        pairs = [{"instance": i, "certificate": c} for i, c in zip(items, certs)]
+        calls = count_admit_calls(monkeypatch)
+        code, out = run_cli(tmp_path, capsys, "verify", pairs)
+        assert code == 0 and all(o["ok"] for o in out)
+        assert len(calls) == 5 * len(items)
 
 
 class TestOrientation:

@@ -1,5 +1,6 @@
 """Geodesic bound checks and brute-force minimality search."""
 
+import dataclasses
 import itertools
 import math
 
@@ -25,6 +26,7 @@ from biaxial import (
     Su2Element,
     worst_case_witness,
 )
+import biaxial.oracle as oracle
 from biaxial.oracle import _DENSE_MAX_K, FEASIBLE_RESIDUAL, INFEASIBLE_RESIDUAL
 from biaxial.synthesis import decompose_even, decompose_odd
 from _helpers import (
@@ -68,6 +70,22 @@ class TestGeodesicBounds:
         assert report.distance == pytest.approx(1.0, abs=1e-12)
         assert not report.passed
         assert geodesic_bound_check(u, pair, PatternSpec(1, AxisLabel.N)).passed
+
+    def test_two_factor_bound_is_exact(self):
+        # Two factors move m to exactly the gap from n: a target whose m lands
+        # just nearer or just farther than that is reached by no two-factor
+        # product, however close a search gets to it.
+        pair = pair_with_delta(1.0)
+        sides = set()
+        for off in (1e-7, -1e-7, 3e-9, -3e-9):
+            u = compose(rot(pair.n, 0.7), compose(rot(pair.l, off), rot(pair.m, -1.2)))
+            report = geodesic_bound_check(u, pair, PatternSpec(2, AxisLabel.M))
+            assert abs(abs(report.distance - report.bound) - abs(off)) < 1e-13
+            assert not report.passed
+            sides.add(report.distance > report.bound)
+        assert sides == {False, True}
+        u = compose(rot(pair.n, 0.7), rot(pair.m, -1.2))
+        assert geodesic_bound_check(u, pair, PatternSpec(2, AxisLabel.M)).passed
 
     def test_holds_for_all_produced_decompositions(self):
         rng = np.random.default_rng(40)
@@ -224,6 +242,48 @@ class TestMinimalityCertificate:
     def test_non_finite_target_rejected(self):
         with pytest.raises(InvalidRotationError):
             minimality_certificate(Su2Element(math.nan, 0.0, 0.0, 1.0), EZ, EX)
+
+    # (q, m, n) as float.hex: instances 164 of seed 934 and 2678 of seed 123
+    # of the certify workload's stream (bench/workloads.py).  Both count 3,
+    # and an even distance misses the gap by 5.3e-7 and 1.6e-6, so the
+    # length-2 search gets within INFEASIBLE_RESIDUAL of them.
+    COUNT_BOUNDARY = {
+        "seed-934": (
+            ("-0x1.3c85d51a476c4p-1", "-0x1.2760b1e5f3675p-1",
+             "-0x1.0bca1f60fbbabp-1", "0x1.b609f68e879a9p-4"),
+            ("-0x1.3399a79899b17p-1", "0x1.8a16f985054d0p-1", "0x1.ba2a4da17b2e6p-3"),
+            ("0x1.7db134ecaa10ap-1", "0x1.461df58f38cd8p-1", "-0x1.920cac6fe691ap-3")),
+        "seed-123": (
+            ("-0x1.4dbb9972d62a9p-1", "0x1.614b8a6a6134dp-1",
+             "0x1.195227f1dcdb2p-2", "0x1.3a090364ddd66p-3"),
+            ("0x1.86be651fa4f71p-3", "-0x1.9f362e7a2d18bp-1", "-0x1.1b328673ccf0fp-1"),
+            ("0x1.e9de1ca1ed918p-1", "0x1.c4a8bccaad452p-6", "0x1.287850c5ae1c1p-2")),
+    }
+
+    @pytest.mark.parametrize("name", sorted(COUNT_BOUNDARY))
+    def test_count_boundary_instances_pass(self, name):
+        q, m, n = ([float.fromhex(v) for v in vs] for vs in self.COUNT_BOUNDARY[name])
+        report = minimality_certificate(Su2Element(*q), m, n)
+        assert report.n_min == 3
+        assert min(res for _, _, res in report.refutations) <= INFEASIBLE_RESIDUAL
+        assert report.passed, report
+
+    def test_injected_overcount_fails(self, monkeypatch):
+        # A claimed count one above the minimum, with a valid chain of that
+        # length: the shorter pattern is reached, so the certificate fails.
+        u = compose(rot(EZ, 0.4), compose(rot(np.array([0.0, 1.0, 0.0]), 1.0), rot(EZ, -0.9)))
+        real = decompose_min(u, EZ, EX)
+        assert real.report.n_min == 3 and real.parity == "odd"
+        longer = decompose_even(real.target, real.pair)
+        assert longer.count == 4 and longer.residual <= 1e-12
+        fake = dataclasses.replace(
+            longer, report=dataclasses.replace(real.report, n_min=4))
+        monkeypatch.setattr(oracle, "decompose_min", lambda *args, **kwargs: fake)
+        report = minimality_certificate(u, EZ, EX)
+        assert report.n_min == report.construction_count == 4
+        assert report.construction_residual <= 1e-12
+        assert any(res <= INFEASIBLE_RESIDUAL for _, _, res in report.refutations)
+        assert not report.passed
 
     def test_randomized_sample(self):
         rng = np.random.default_rng(43)

@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from biaxial import quat_distance, rot, to_so3
+from biaxial import InvalidRotationError, quat_distance, rot, to_so3
+from biaxial.core import from_euler_zyz
 from biaxial.counting import analyze
 from biaxial.serialization import (
+    Certificate,
     certificate_to_obj,
-    instance_to_obj,
-    make_certificate,
     parse_certificate,
     parse_instance,
 )
@@ -31,7 +31,6 @@ class TestParseInstance:
     def test_su2_target(self):
         inst = parse_instance(base_instance({"su2": [0.0, 0.0, -1.0, 0.0]}))
         assert quat_distance(inst.target, rot(EY, math.pi)) < 1e-15
-        assert inst.target_encoding == "su2"
 
     def test_so3_target_uses_canonical_lift(self):
         u = rot(EY, 0.5 * math.pi)
@@ -46,7 +45,7 @@ class TestParseInstance:
 
     def test_euler_target(self):
         inst = parse_instance(base_instance({"euler_zyz": [0.3, 1.1, -0.7]}))
-        assert inst.target_encoding == "euler_zyz"
+        assert inst.target == from_euler_zyz(0.3, 1.1, -0.7)
 
     @pytest.mark.parametrize("bad", [
         {"su2": [1.0, 0.0, 0.0]},
@@ -70,8 +69,20 @@ class TestParseInstance:
         {"euler_zyz": [True, False, False]},
     ])
     def test_rejects_malformed_targets(self, bad):
+        # Shapes fail in the parser; an su2 target off unit norm fails where
+        # analyze admits it.
         with pytest.raises(ValueError):
-            parse_instance(base_instance(bad))
+            inst = parse_instance(base_instance(bad))
+            analyze(inst.target, inst.m, inst.n)
+
+    def test_su2_target_and_axes_are_admitted_by_analyze(self):
+        # The parser keeps what it read; analyze admits it once.
+        inst = parse_instance({"m": [0.0, 0.0, 2.0], "n": EX,
+                               "target": {"su2": [2.0, 0.0, 0.0, 0.0]}})
+        assert inst.m == [0.0, 0.0, 2.0]
+        assert inst.target.components() == (2.0, 0.0, 0.0, 0.0)
+        with pytest.raises(InvalidRotationError, match="^target must have norm 1"):
+            analyze(inst.target, inst.m, inst.n)
 
     @pytest.mark.parametrize("m", [[True, False, False], ["0", "0", "1"]])
     def test_rejects_non_number_axes(self, m):
@@ -89,13 +100,15 @@ class TestCertificateRoundTrip:
         rng = np.random.default_rng(50)
         m, n = random_pair(rng, 0.4, 0.5 * math.pi)
         u = random_su2(rng)
-        result = analyze(u, m, n)
         dec = decompose_min(u, m, n)
-        cert = make_certificate(result.report, result.pair, u, dec)
-        obj = certificate_to_obj(cert)
+        obj = certificate_to_obj(dec.report, dec.pair, dec.target, dec)
         wire = json.dumps(obj)
         parsed = parse_certificate(json.loads(wire))
-        assert parsed == cert
+        assert parsed == Certificate(
+            count=dec.count, parity=dec.parity, lowenthal=dec.report.lowenthal,
+            target_su2=dec.target, report=dec.report, delta=dec.pair.delta,
+            m_flipped=dec.pair.m_flipped, swapped=dec.swapped,
+            factors=dec.factors, residual=dec.residual)
         # Shortest-round-trip decimals are bit-exact through JSON.
         assert json.loads(wire) == obj
 
@@ -104,21 +117,24 @@ class TestCertificateRoundTrip:
         m, n = random_pair(rng, 0.4, 0.5 * math.pi)
         u = random_su2(rng)
         result = analyze(u, m, n)
-        cert = make_certificate(result.report, result.pair, u)
-        obj = certificate_to_obj(cert)
+        report, governing = result.report, result.governing
+        obj = certificate_to_obj(report, governing, result.target)
         assert "factors" not in obj
         assert "residual" not in obj
-        assert parse_certificate(obj) == cert
+        assert parse_certificate(obj) == Certificate(
+            count=report.n_min, parity=report.chosen_parity,
+            lowenthal=report.lowenthal, target_su2=result.target, report=report,
+            delta=governing.delta, m_flipped=governing.m_flipped,
+            swapped=governing.swapped)
 
-    def test_instance_round_trip(self):
-        rng = np.random.default_rng(52)
-        m, n = random_pair(rng, 0.4, 0.5 * math.pi)
-        u = random_su2(rng)
-        obj = instance_to_obj(parse_instance(
-            {"m": list(m), "n": list(n), "target": {"su2": list(u.components())}}))
-        again = parse_instance(json.loads(json.dumps(obj)))
-        assert quat_distance(again.target, u) < 1e-15
-        assert np.allclose(again.m, m)
+    def test_report_fields_in_field_order(self):
+        result = analyze(rot(EY, 2.0), EZ, EX)
+        obj = certificate_to_obj(result.report, result.governing, result.target)
+        assert list(obj) == ["count", "parity", "lowenthal", "delta", "m_flipped",
+                             "swapped", "target_su2", "report", "order"]
+        assert list(obj["report"]) == ["n_min", "m_odd", "m_even_mn", "m_even_nm",
+                                       "beta", "beta_prime", "lowenthal",
+                                       "chosen_parity"]
 
     def test_rejects_malformed_certificate(self):
         with pytest.raises(ValueError):

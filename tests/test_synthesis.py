@@ -721,6 +721,41 @@ class TestChainReference:
         assert long_chains >= 6
 
 
+def count_route_targets(pair, rng):
+    """Targets on and near count boundaries at one gap: +-identity, half-turns
+    about m, n and l, ``rot(l, 2k*delta)``, the worst-case witness, two-factor
+    products of either order, then Haar targets."""
+    delta = pair.delta
+    targets = [IDENTITY, negate(IDENTITY), rot(pair.m, math.pi), rot(pair.n, math.pi),
+               rot(pair.l, math.pi), worst_case_witness(pair)]
+    targets += [rot(pair.l, 2.0 * k * delta)
+                for k in range(1, min(8, math.ceil(math.pi / (2.0 * delta))))]
+    for _ in range(6):
+        a, b = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 2)
+        targets += [compose(rot(pair.n, a), rot(pair.m, b)),
+                    compose(rot(pair.m, a), rot(pair.n, b))]
+    return targets + [random_su2(rng) for _ in range(12)]
+
+
+class TestConstructionCounts:
+    """The per-parity constructions count by sphere distance, as ``analyze``
+    does; the slab-by-slab reference still counts by the chain's own Euler
+    angle, and both give the same counts and factors, boundaries included."""
+
+    @pytest.mark.parametrize("delta", [0.5 * math.pi, 1.0, 0.3, 1e-2, 1e-3])
+    def test_equal_the_euler_route(self, delta):
+        rng = np.random.default_rng(2100)
+        for pair in (pair_with_delta(delta), AxisPair.from_axes(*random_pair(rng, delta, delta))):
+            for u in count_route_targets(pair, rng):
+                for parity, build in PUBLIC_CONSTRUCTION.items():
+                    dec = build(u, pair)
+                    chain = reference_chain(u, pair, parity)
+                    factors, residual = reference_factors(chain, u, pair.m, pair.n,
+                                                          reverse=parity == "even-nm")
+                    assert hex_factors(dec.factors) == hex_factors(factors), parity
+                    assert dec.residual.hex() == residual.hex()
+
+
 class TestDecomposeMinReport:
     """``decompose_min`` returns the analysis it ran as ``report``."""
 
