@@ -40,7 +40,7 @@ from typing import Any
 
 from .config import DECISION_WINDOW, Tolerances
 from .core import quat_distance
-from .counting import AxisPair, analyze, worst_case_witness
+from .counting import AxisPair, _analyze_pair, analyze, worst_case_witness
 from .errors import AxesParallelError
 from .oracle import PatternSpec, geodesic_bound_check, minimality_certificate
 from .serialization import (
@@ -49,7 +49,7 @@ from .serialization import (
     parse_certificate,
     parse_instance,
 )
-from .synthesis import Decomposition, decompose_min, verify_decomposition
+from .synthesis import Decomposition, _decompose, decompose_min, verify_decomposition
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -140,8 +140,11 @@ def _cmd_worst_case(item: Any, args: argparse.Namespace, tol: Tolerances) -> tup
         raise ValueError('worst-case input must carry "m" and "n"')
     m = _vector3(item["m"], "m")
     n = _vector3(item["n"], "n")
-    witness = worst_case_witness(AxisPair.from_axes(m, n, tol))
-    return _decomposition_result(decompose_min(witness, m, n, tol=tol), tol)
+    # The witness is built from the admitted pair and is unit to rounding,
+    # so neither is admitted again.
+    pair = AxisPair.from_axes(m, n, tol)
+    return _decomposition_result(_decompose(_analyze_pair(worst_case_witness(pair), pair)),
+                                 tol)
 
 
 def _cmd_oracle(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[int, Any]:

@@ -218,7 +218,11 @@ def analyze(u: Su2Element, m_raw, n_raw, tol: Tolerances = DEFAULT_TOL) -> Analy
     v = _admit_unit(c, tol, InvalidRotationError, "target")
     if v is not c:
         u = Su2Element(*v)
-    pair = AxisPair.from_axes(m_raw, n_raw, tol)
+    return _analyze_pair(u, AxisPair.from_axes(m_raw, n_raw, tol))
+
+
+def _analyze_pair(u: Su2Element, pair: AxisPair) -> Analysis:
+    """:func:`analyze` of an admitted target about an admitted pair."""
     governing = pair
     # The closed-form minimum needs the governing axis to carry at least as
     # much of the target's vector part as the other one; ties keep the

@@ -9,7 +9,10 @@ shorter alternating product reaches the target.
 The search exploits the product being linear in ``(cos(theta_i/2),
 sin(theta_i/2))`` for each angle separately: every coordinate has a closed
 form exact minimizer, so cyclic coordinate descent needs no line search and
-all random starts sweep in lockstep as rows of one array.
+all random starts sweep in lockstep as rows of one array.  Two factors
+update jointly: their overlap is a bilinear form in the two pairs, whose
+maximum is the top singular value of a 2x2 matrix, so one update reaches
+it exactly.
 """
 
 from __future__ import annotations
@@ -198,6 +201,33 @@ def _dense_sweep(plan: list[tuple], live: np.ndarray, h: np.ndarray) -> None:
         _update(c_i, s_i, a_coef, b_coef, live, h)
 
 
+def _two_factor_optimum(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Unit ``x_1``, ``x_0`` maximising the two-factor overlap ``x_1^T W x_0``,
+    and the maximum ``h``, ``W``'s top singular value.
+
+    ``x_1`` is the top eigenvector of ``W W^T = [[p, r], [r, q]]``, at angle
+    ``0.5*atan2(2r, p - q)``, and ``x_0 = W^T x_1 / h`` with
+    ``h = |W^T x_1|``.  The four products ``W`` is taken against span the
+    quaternions, so ``W`` and ``h`` are nonzero for a unit target.
+    """
+    (p, r), (_, q) = w @ w.T
+    phi = 0.5 * math.atan2(2.0 * r, p - q)
+    x1 = np.array([math.cos(phi), math.sin(phi)])
+    v = x1 @ w
+    h = math.hypot(v[0], v[1])
+    return x1, v / h, h
+
+
+def _two_factor_sweep(x: np.ndarray, x1: np.ndarray, x0: np.ndarray, h_opt: float,
+                      live: np.ndarray, h: np.ndarray) -> None:
+    """Joint exact update of both coordinates of a length-2 pattern on the
+    live rows: each row moves to the optimum, so ``h`` is final after one
+    sweep and the row settles on the next."""
+    x[1][:, live] = x1[:, None]
+    x[0][:, live] = x0[:, None]
+    np.copyto(h, h_opt, where=live)
+
+
 def _running_sweep(mats: list[np.ndarray], target: np.ndarray, c: list[np.ndarray],
                    s: list[np.ndarray], live: np.ndarray, h: np.ndarray) -> None:
     """One sweep ``k-1 ... 0`` carrying a running target down the pattern;
@@ -245,6 +275,15 @@ def numeric_search(u: Su2Element, pair: AxisPair, pattern: PatternSpec,
     with the other coordinates' outer product.  Longer patterns carry a
     running target down each sweep instead, at a cost that grows like ``k``
     rather than ``2**k``.  Both forms make the same updates up to rounding.
+    A two-factor overlap is ``x_1^T W x_0`` for the 2x2 slice ``W``, on
+    which coordinate ascent is power iteration, converging at
+    ``(sigma_2/sigma_1)**2`` per sweep.  Its two coordinates are instead
+    updated jointly to the exact maximum ``sigma_1``
+    (:func:`_two_factor_optimum`), so every row lands on the same optimum
+    in its first sweep and settles on its second; the residual and angles
+    do not depend on ``starts`` or ``seed``.  This is a singular value of
+    the overlap coefficients, not the sphere-distance rule the count and
+    :func:`geodesic_bound_check` use, so the evidence stays independent.
     The cut-off keeps the ``starts`` claim: past 4 factors the dense
     products reach inner dimension 16, where BLAS gemm rounds a column
     differently with the number of columns.  On speed alone the dense form
@@ -284,11 +323,15 @@ def numeric_search(u: Su2Element, pair: AxisPair, pattern: PatternSpec,
     h_prev = np.full(cols, -1.0)
     settled = np.zeros(cols, dtype=bool)
     row_sweeps = 0
-    plan = _dense_plan(_overlap_slices(target, mats), x) if k <= _DENSE_MAX_K else None
+    slices = _overlap_slices(target, mats) if k <= _DENSE_MAX_K else None
+    optimum = _two_factor_optimum(slices[1]) if k == 2 else None
+    plan = _dense_plan(slices, x) if slices is not None and optimum is None else None
     for _ in range(_MAX_SWEEPS):
         live = ~settled
         row_sweeps += int(live[:starts].sum())
-        if plan is not None:
+        if optimum is not None:
+            _two_factor_sweep(x, *optimum, live, h)
+        elif plan is not None:
             _dense_sweep(plan, live, h)
         else:
             _running_sweep(mats, target, c, s, live, h)

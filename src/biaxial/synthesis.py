@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import DECISION_WINDOW, DEFAULT_TOL, Tolerances
-from .counting import (AxisPair, CountReport, _deciding_distances, analyze,
+from .counting import (Analysis, AxisPair, CountReport, _deciding_distances, analyze,
                        even_count, m_odd_count, reaches_gap)
 from .core import (
     IDENTITY,
@@ -403,7 +403,11 @@ def decompose_min(u: Su2Element, m_raw, n_raw,
     ones, divided by their norms.  The factors are replayed once about the
     axes, and the analysis is returned as ``report``.
     """
-    analysis = analyze(u, m_raw, n_raw, tol)
+    return _decompose(analyze(u, m_raw, n_raw, tol))
+
+
+def _decompose(analysis: Analysis) -> Decomposition:
+    """:func:`decompose_min` of an analysis."""
     u = analysis.target
     report = analysis.report
     parity = report.chosen_parity

@@ -184,19 +184,36 @@ def pair_frame_margin(u: Su2Element, pair) -> float:
 
 
 def count_analyze_calls(monkeypatch) -> list:
-    """Record every ``counting.analyze`` call, wherever the library binds it.
+    """Record every analysis: each ``counting._analyze_pair`` call (which
+    ``analyze`` makes after admission), wherever the library binds it.
 
     Returns the list that grows by one entry per call.
     """
     calls = []
-    analyze_fn = biaxial.counting.analyze
+    analyze_fn = biaxial.counting._analyze_pair
 
     def counted(*args, **kwargs):
         calls.append(1)
         return analyze_fn(*args, **kwargs)
 
-    for module in (biaxial.counting, biaxial.synthesis, biaxial.cli):
-        monkeypatch.setattr(module, "analyze", counted)
+    for module in (biaxial.counting, biaxial.cli):
+        monkeypatch.setattr(module, "_analyze_pair", counted)
+    return calls
+
+
+def count_from_axes_calls(monkeypatch) -> list:
+    """Record every ``AxisPair.from_axes`` call (the axes' admission).
+
+    Returns the list that grows by one entry per call.
+    """
+    calls = []
+    from_axes = biaxial.counting.AxisPair.from_axes
+
+    def counted(cls, *args, **kwargs):
+        calls.append(1)
+        return from_axes(*args, **kwargs)
+
+    monkeypatch.setattr(biaxial.counting.AxisPair, "from_axes", classmethod(counted))
     return calls
 
 

@@ -114,8 +114,10 @@ def test_each_tolerance_field_has_its_readers():
 # decision has one home, so a second admission or count route fails here.
 PRIVATE_IMPORTS = {
     "_admit_unit": {"counting"},
+    "_analyze_pair": {"cli"},
     "_arc": {"counting", "oracle"},
     "_deciding_distances": {"synthesis"},
+    "_decompose": {"cli"},
     "_rot": {"synthesis"},
     "_vector3": {"cli"},
 }

@@ -9,7 +9,8 @@ import pytest
 from biaxial import Su2Element, Tolerances, euler_zyz, rot, to_so3
 from biaxial.cli import main
 from biaxial.counting import analyze
-from _helpers import count_admit_calls, count_analyze_calls, count_replay_calls
+from _helpers import (count_admit_calls, count_analyze_calls, count_from_axes_calls,
+                      count_replay_calls)
 
 EX = [1.0, 0.0, 0.0]
 EY = [0.0, 1.0, 0.0]
@@ -402,6 +403,15 @@ class TestOneAnalysis:
 
     def test_worst_case_runs_one_analysis_per_item(self, tmp_path, capsys, monkeypatch):
         calls = count_analyze_calls(monkeypatch)
+        items = [{"m": it["m"], "n": it["n"]} for it in batch(4)]
+        code, out = run_cli(tmp_path, capsys, "worst-case", items)
+        assert code == 0
+        assert all(o["count"] == o["lowenthal"] for o in out)
+        assert len(calls) == len(items)
+
+    def test_worst_case_admits_axes_once_per_item(self, tmp_path, capsys, monkeypatch):
+        # The witness is built from the pair the analysis then reads.
+        calls = count_from_axes_calls(monkeypatch)
         items = [{"m": it["m"], "n": it["n"]} for it in batch(4)]
         code, out = run_cli(tmp_path, capsys, "worst-case", items)
         assert code == 0

@@ -564,3 +564,15 @@ class TestWorstCase:
         witness = worst_case_witness(pair)
         expected = rot(pair.l, math.pi)
         assert witness.components() == pytest.approx(expected.components(), abs=1e-15)
+
+    def test_witness_is_unit_to_rounding(self):
+        # CLI worst-case analyses the witness without admitting it again,
+        # which keeps its bits only if admission would return it unchanged.
+        rng = np.random.default_rng(48)
+        tight = Tolerances(norm=0.0)
+        for gap in np.linspace(1e-3, math.pi - 1e-3, 40):
+            for _ in range(25):
+                m, n = random_pair(rng, gap, gap)
+                pair = AxisPair.from_axes(m if rng.uniform() < 0.5 else -m, n)
+                c = worst_case_witness(pair).components()
+                assert biaxial.core._admit_unit(c, tight, InvalidRotationError, "target") is c
