@@ -10,14 +10,14 @@ The search exploits the product being linear in ``(cos(theta_i/2),
 sin(theta_i/2))`` for each angle separately: every coordinate has a closed
 form exact minimizer, so cyclic coordinate descent needs no line search and
 all random starts sweep in lockstep as rows of one array.  Two factors
-update jointly: their overlap is a bilinear form in the two pairs, whose
-maximum is the top singular value of a 2x2 matrix, so one update reaches
-it exactly.
+need no search: their overlap's maximum is the top singular value of a
+2x2 matrix.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +77,10 @@ class PatternSpec:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """Best row of a :func:`numeric_search`.  ``evaluations`` counts
+    coordinate updates, ``k`` per sweep of each live start; it is 2 for a
+    length-2 search, which sets each coordinate once in closed form."""
+
     best_residual: float
     best_angles: tuple[float, ...]
     evaluations: int
@@ -218,16 +222,6 @@ def _two_factor_optimum(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return x1, v / h, h
 
 
-def _two_factor_sweep(x: np.ndarray, x1: np.ndarray, x0: np.ndarray, h_opt: float,
-                      live: np.ndarray, h: np.ndarray) -> None:
-    """Joint exact update of both coordinates of a length-2 pattern on the
-    live rows: each row moves to the optimum, so ``h`` is final after one
-    sweep and the row settles on the next."""
-    x[1][:, live] = x1[:, None]
-    x[0][:, live] = x0[:, None]
-    np.copyto(h, h_opt, where=live)
-
-
 def _running_sweep(mats: list[np.ndarray], target: np.ndarray, c: list[np.ndarray],
                    s: list[np.ndarray], live: np.ndarray, h: np.ndarray) -> None:
     """One sweep ``k-1 ... 0`` carrying a running target down the pattern;
@@ -250,50 +244,66 @@ def _running_sweep(mats: list[np.ndarray], target: np.ndarray, c: list[np.ndarra
         run = c[i] * run + s[i] * turned
 
 
+def _check_search(starts: int, seed: int) -> None:
+    """Admit integers ``starts >= 1`` and ``seed >= 0``, for every pattern."""
+    if operator.index(starts) < 1:
+        raise ValueError("starts must be at least 1")
+    if operator.index(seed) < 0:
+        raise ValueError("seed must be at least 0")
+
+
+def _search_result(pairs, h: float, evaluations: int, seed: int) -> SearchResult:
+    """Result for the pairs ``(c_i, s_i)`` of a product with overlap ``h``."""
+    angles = tuple(normalize_angle(2.0 * math.atan2(s_i, c_i)) for c_i, s_i in pairs)
+    return SearchResult(math.sqrt(max(0.0, 2.0 * (1.0 - min(1.0, h)))), angles, evaluations, seed)
+
+
 def numeric_search(u: Su2Element, pair: AxisPair, pattern: PatternSpec,
                    starts: int = 64, seed: int = 0,
                    stop_below: float | None = None) -> SearchResult:
     """Multistart minimization of the pattern-product residual.
 
     The residual is the quaternion distance minimized over the two lifts
-    (angle windows of width 4*pi absorb the sign).  Starts are drawn
-    uniformly from ``[-2*pi, 2*pi]^k`` and refined by cyclic coordinate
-    descent with exact per-coordinate updates, sweeping coordinates
-    ``k-1 ... 0``.  Rows evolve independently and stop when their per-sweep
-    progress dies out, so the result equals a sequential scan of the same
-    start list and is nonincreasing in ``starts``, from ``starts = 1`` up.
-    If a pattern decomposition exists, desk-scale instances reach a
-    residual far below 1e-6 well within 64 starts.  When ``stop_below`` is
-    set the sweep loop exits as soon as the best row's residual drops under
-    it, and rows are allowed to settle at coarser precision (adequate for
-    threshold classification); both trades remain deterministic.
+    (angle windows of width 4*pi absorb the sign).  The overlap with the
+    target is multilinear in the pairs ``(cos(theta_i/2), sin(theta_i/2))``.
+    A two-factor overlap is ``x_1^T W x_0`` for a 2x2 slice ``W``, so a
+    length-2 search returns ``W``'s top singular value in closed form
+    (:func:`_two_factor_optimum`), drawing no start.  This is a singular
+    value of the overlap coefficients, not the sphere-distance rule the
+    count and :func:`geodesic_bound_check` use, so the evidence stays
+    independent.
 
-    The overlap with the target is multilinear in the per-factor pairs
-    ``(cos(theta_i/2), sin(theta_i/2))``.  Patterns of at most
-    ``_DENSE_MAX_K`` factors sweep on its ``2**k`` coefficients, built once
-    per search: an update is one product of the coordinate's slice of them
-    with the other coordinates' outer product.  Longer patterns carry a
-    running target down each sweep instead, at a cost that grows like ``k``
-    rather than ``2**k``.  Both forms make the same updates up to rounding.
-    A two-factor overlap is ``x_1^T W x_0`` for the 2x2 slice ``W``, on
-    which coordinate ascent is power iteration, converging at
-    ``(sigma_2/sigma_1)**2`` per sweep.  Its two coordinates are instead
-    updated jointly to the exact maximum ``sigma_1``
-    (:func:`_two_factor_optimum`), so every row lands on the same optimum
-    in its first sweep and settles on its second; the residual and angles
-    do not depend on ``starts`` or ``seed``.  This is a singular value of
-    the overlap coefficients, not the sphere-distance rule the count and
-    :func:`geodesic_bound_check` use, so the evidence stays independent.
-    The cut-off keeps the ``starts`` claim: past 4 factors the dense
-    products reach inner dimension 16, where BLAS gemm rounds a column
-    differently with the number of columns.  On speed alone the dense form
-    would win up to 6 factors.
+    Other patterns draw starts uniformly from ``[-2*pi, 2*pi]^k`` and refine
+    them by cyclic coordinate descent with exact per-coordinate updates,
+    sweeping coordinates ``k-1 ... 0``.  Rows evolve independently and stop
+    when their per-sweep progress dies out, so the result equals a
+    sequential scan of the same start list and is nonincreasing in
+    ``starts``, from ``starts = 1`` up.  When ``stop_below`` is set the
+    sweep loop exits as soon as the best row's residual drops under it, and
+    rows settle at coarser precision; both trades remain deterministic.
+    Patterns of at most ``_DENSE_MAX_K`` factors sweep on the overlap's
+    ``2**k`` coefficients, built once per search: an update is one product
+    of the coordinate's slice with the other coordinates' outer product.
+    Longer patterns carry a running target down each sweep instead, at a
+    cost that grows like ``k`` rather than ``2**k``; both make the same
+    updates up to rounding.  The cut-off keeps the ``starts`` claim: past 4
+    factors the dense products reach inner dimension 16, where BLAS gemm
+    rounds a column differently with the number of columns.  On speed
+    alone the dense form would win up to 6 factors.
     """
-    if starts < 1:
-        raise ValueError("starts must be at least 1")
+    _check_search(starts, seed)
     if pattern.k < 1:
         raise ValueError("pattern length must be at least 1")
     k = pattern.k
+    # Factor i is V_i = c_i - s_i * (0, axis_i); mats[i] is the left
+    # multiplication by (0, axis_i).
+    mats = [_left_pure(pair.m if lab is AxisLabel.M else pair.n)
+            for lab in pattern.labels()]
+    target = np.array([u.w, u.x, u.y, u.z])
+    if k == 2:
+        x1, x0, h_opt = _two_factor_optimum(_overlap_slices(target, mats)[1])
+        return _search_result((x0, x1), h_opt, 2, seed)
+
     rng = np.random.default_rng(seed)
     angles = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (starts, k))
     # A single column would send the sweeps' products through BLAS gemv,
@@ -301,15 +311,10 @@ def numeric_search(u: Su2Element, pair: AxisPair, pattern: PatternSpec,
     # lone start sweeps as two identical columns.
     if starts == 1:
         angles = np.repeat(angles, 2, axis=0)
-    # Factor i is V_i = c_i - s_i * (0, axis_i); mats[i] is the left
-    # multiplication by (0, axis_i).  x[i] holds (c_i, s_i), one column per
-    # start, and c[i], s[i] are its views.
-    mats = [_left_pure(pair.m if lab is AxisLabel.M else pair.n)
-            for lab in pattern.labels()]
+    # x[i] holds (c_i, s_i), one column per start; c[i], s[i] are its views.
     x = np.stack([np.cos(0.5 * angles.T), np.sin(0.5 * angles.T)], axis=1)
     c = list(x[:, 0])
     s = list(x[:, 1])
-    target = np.array([u.w, u.x, u.y, u.z])
 
     # A row may settle once its per-sweep progress is far below the
     # precision the caller's threshold needs; without a threshold it only
@@ -323,15 +328,11 @@ def numeric_search(u: Su2Element, pair: AxisPair, pattern: PatternSpec,
     h_prev = np.full(cols, -1.0)
     settled = np.zeros(cols, dtype=bool)
     row_sweeps = 0
-    slices = _overlap_slices(target, mats) if k <= _DENSE_MAX_K else None
-    optimum = _two_factor_optimum(slices[1]) if k == 2 else None
-    plan = _dense_plan(slices, x) if slices is not None and optimum is None else None
+    plan = _dense_plan(_overlap_slices(target, mats), x) if k <= _DENSE_MAX_K else None
     for _ in range(_MAX_SWEEPS):
         live = ~settled
         row_sweeps += int(live[:starts].sum())
-        if optimum is not None:
-            _two_factor_sweep(x, *optimum, live, h)
-        elif plan is not None:
+        if plan is not None:
             _dense_sweep(plan, live, h)
         else:
             _running_sweep(mats, target, c, s, live, h)
@@ -346,13 +347,8 @@ def numeric_search(u: Su2Element, pair: AxisPair, pattern: PatternSpec,
 
     residuals = np.sqrt(np.maximum(0.0, 2.0 * (1.0 - np.minimum(1.0, h))))
     best = int(np.argmin(residuals))
-    best_angles = tuple(normalize_angle(2.0 * math.atan2(float(s[i][best]),
-                                                         float(c[i][best])))
-                        for i in range(k))
-    return SearchResult(best_residual=float(residuals[best]),
-                        best_angles=best_angles,
-                        evaluations=row_sweeps * k,
-                        seed=seed)
+    return _search_result([(c[i][best], s[i][best]) for i in range(k)], h[best],
+                          row_sweeps * k, seed)
 
 
 def minimality_certificate(u: Su2Element, m_raw, n_raw, starts: int = 64,
@@ -368,6 +364,7 @@ def minimality_certificate(u: Su2Element, m_raw, n_raw, starts: int = 64,
     close to targets that no product of the pattern equals.  A search that
     stays above the residual is evidence, not proof.
     """
+    _check_search(starts, seed)
     dec = decompose_min(u, m_raw, n_raw, tol=tol)
     n = dec.report.n_min
     construction_ok = dec.residual <= tol.recon and dec.count == n

@@ -580,6 +580,19 @@ class TestOracle:
         assert code == 0
         assert out["passed"] and out["n_min"] == 4
 
+    @pytest.mark.parametrize("flags", [["--starts", "0"], ["--starts", "-1"], ["--seed", "-1"]])
+    @pytest.mark.parametrize("angle", [0.0, 0.5 * math.pi], ids=["identity", "count-3"])
+    def test_bad_search_parameters_exit_2(self, tmp_path, capsys, flags, angle):
+        payload = {"m": EZ, "n": EX,
+                   "target": {"axis_angle": {"axis": EY, "angle": angle}}}
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps(payload))
+        code = main(["oracle", "--input", str(inp)] + flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "must be at least" in captured.err
+
 
 class TestTolOverride:
     # Counts ignore tolerances, so overrides show through admission: at gap
@@ -699,6 +712,12 @@ class TestTolOverride:
         for bad in (math.nan, math.inf, -1e-9):
             with pytest.raises(ValueError):
                 Tolerances.uniform(bad)
+
+    @pytest.mark.parametrize("field", ["norm", "parallel", "recon"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_every_field_checked_on_construction(self, field, bad):
+        with pytest.raises(ValueError, match=f"got {field}="):
+            Tolerances(**{field: bad})
 
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         inp = tmp_path / "in.json"

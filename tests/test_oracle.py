@@ -149,8 +149,8 @@ class TestNumericSearch:
 
     def test_feasible_searches_settle(self):
         # Without stop_below a row settles once h stops moving by more than
-        # a float spacing near 1: reachable length-2 targets settle in two
-        # sweeps per start, length-4 ones in well under 1000.
+        # a float spacing near 1: reachable length-4 targets settle in well
+        # under 1000 sweeps per start; length 2 is solved in closed form.
         rng = np.random.default_rng(7)
         for k, max_sweeps in ((2, 2), (4, 150)):
             for _ in range(40):
@@ -162,6 +162,15 @@ class TestNumericSearch:
                 result = numeric_search(u, AxisPair.from_axes(m, n), spec, starts=8, seed=0)
                 assert result.best_residual <= FEASIBLE_RESIDUAL, (spec, result)
                 assert result.evaluations <= max_sweeps * 8 * k, (spec, result)
+
+    @pytest.mark.parametrize("bad", [{"starts": 0}, {"starts": -1}, {"seed": -1}])
+    def test_every_length_rejects_the_same_parameters(self, bad):
+        # Length 2 draws no start, yet checks starts and seed as length 3 does.
+        pair = AxisPair.from_axes(EZ, EX)
+        u = rot(np.array([0.0, 1.0, 0.0]), 0.5 * math.pi)
+        for k in (1, 2, 3, _DENSE_MAX_K + 1):
+            with pytest.raises(ValueError):
+                numeric_search(u, pair, PatternSpec(k, AxisLabel.M), **bad)
 
     def test_zero_overlap_keeps_the_starts(self):
         # (0, 1, 0, 0) is orthogonal to every rotation about z, so every row
@@ -280,7 +289,8 @@ class TestTwoFactorOptimum:
             assert len(results) == 1
 
     @pytest.mark.parametrize("feasible", [False, True])
-    def test_settles_on_second_sweep(self, feasible):
+    def test_closed_form_in_two_evaluations(self, feasible):
+        # Each coordinate is set once, on one row, whatever the starts.
         rng = np.random.default_rng(47)
         for _ in range(10):
             m, n = random_pair(rng, 0.5 * math.pi, 0.5 * math.pi)
@@ -290,7 +300,7 @@ class TestTwoFactorOptimum:
                 u = compose(rot(n, rng.uniform(-math.pi, math.pi)),
                             rot(m, rng.uniform(-math.pi, math.pi)))
             result = numeric_search(u, pair, PatternSpec(2, AxisLabel.M), starts=8, seed=0)
-            assert result.evaluations == 2 * 8 * 2
+            assert result.evaluations == 2
             assert (result.best_residual <= FEASIBLE_RESIDUAL) == feasible, result
 
 
@@ -342,6 +352,13 @@ class TestMinimalityCertificate:
         report = minimality_certificate(u, -EZ, EX, starts=4, seed=0)
         assert report.n_min == 2
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("bad", [{"starts": 0}, {"starts": -1}, {"seed": -1}])
+    def test_bad_search_parameters_rejected_for_every_target(self, bad):
+        # The identity counts 1 and searches nothing; rot(y, pi/2) counts 3.
+        for u in (IDENTITY, rot(np.array([0.0, 1.0, 0.0]), 0.5 * math.pi)):
+            with pytest.raises(ValueError):
+                minimality_certificate(u, EZ, EX, **bad)
 
     def test_non_finite_target_rejected(self):
         with pytest.raises(InvalidRotationError):
