@@ -9,9 +9,10 @@ shorter alternating product reaches the target.
 The search exploits the product being linear in ``(cos(theta_i/2),
 sin(theta_i/2))`` for each angle separately: every coordinate has a closed
 form exact minimizer, so cyclic coordinate descent needs no line search and
-all random starts sweep in lockstep as rows of one array.  Two factors
-need no search: their overlap's maximum is the top singular value of a
-2x2 matrix.
+all random starts sweep in lockstep as rows of one array.  Two and three
+factors need no search: a two-factor overlap's maximum is the top singular
+value of a 2x2 matrix, and a three-factor pattern's middle factor has a
+closed-form best angle that leaves a two-factor problem for the outer pair.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ class PatternSpec:
 class SearchResult:
     """Best row of a :func:`numeric_search`.  ``evaluations`` counts
     coordinate updates, ``k`` per sweep of each live start; it is 2 for a
-    length-2 search, which sets each coordinate once in closed form."""
+    length-2 search and 3 for a length-3 one, which set each coordinate
+    once in closed form."""
 
     best_residual: float
     best_angles: tuple[float, ...]
@@ -268,10 +270,20 @@ def numeric_search(u: Su2Element, pair: AxisPair, pattern: PatternSpec,
     target is multilinear in the pairs ``(cos(theta_i/2), sin(theta_i/2))``.
     A two-factor overlap is ``x_1^T W x_0`` for a 2x2 slice ``W``, so a
     length-2 search returns ``W``'s top singular value in closed form
-    (:func:`_two_factor_optimum`), drawing no start.  This is a singular
-    value of the overlap coefficients, not the sphere-distance rule the
-    count and :func:`geodesic_bound_check` use, so the evidence stays
-    independent.
+    (:func:`_two_factor_optimum`), drawing no start.  A length-3 pattern
+    ``a, b, a`` needs no start either.  With the target ``t = (w, v)``
+    split into its part in ``span{1, (0, a)}`` and the rest, rotations
+    about ``a`` on the left and on the right turn the two parts
+    independently, through the half-sum and half-difference of the outer
+    angles.  So the best overlap with a middle factor ``V`` is
+    ``|t_par||V_par| + |t_perp||V_perp|`` with ``|V_perp| = |s_1| sin(delta)``,
+    largest at ``|s_1| = min(1, |v x a| / |a x b|)``.  The outer pair is
+    then the two-factor optimum of ``x_1`` times slice 1 of the overlap
+    coefficients.  Both closed forms return the same result for every
+    ``starts``, ``seed`` and ``stop_below``.  They maximise the overlap
+    in quaternion algebra and return a residual, never a verdict; the
+    count and :func:`geodesic_bound_check` read sphere distances of the
+    rotated axis, so the evidence stays independent.
 
     Other patterns draw starts uniformly from ``[-2*pi, 2*pi]^k`` and refine
     them by cyclic coordinate descent with exact per-coordinate updates,
@@ -281,7 +293,7 @@ def numeric_search(u: Su2Element, pair: AxisPair, pattern: PatternSpec,
     ``starts``, from ``starts = 1`` up.  When ``stop_below`` is set the
     sweep loop exits as soon as the best row's residual drops under it, and
     rows settle at coarser precision; both trades remain deterministic.
-    Patterns of at most ``_DENSE_MAX_K`` factors sweep on the overlap's
+    Lengths 1 and 4, the others up to ``_DENSE_MAX_K``, sweep on the overlap's
     ``2**k`` coefficients, built once per search: an update is one product
     of the coordinate's slice with the other coordinates' outer product.
     Longer patterns carry a running target down each sweep instead, at a
@@ -297,12 +309,23 @@ def numeric_search(u: Su2Element, pair: AxisPair, pattern: PatternSpec,
     k = pattern.k
     # Factor i is V_i = c_i - s_i * (0, axis_i); mats[i] is the left
     # multiplication by (0, axis_i).
-    mats = [_left_pure(pair.m if lab is AxisLabel.M else pair.n)
-            for lab in pattern.labels()]
+    axes = [pair.m if lab is AxisLabel.M else pair.n for lab in pattern.labels()]
+    mats = [_left_pure(axis) for axis in axes]
     target = np.array([u.w, u.x, u.y, u.z])
     if k == 2:
         x1, x0, h_opt = _two_factor_optimum(_overlap_slices(target, mats)[1])
         return _search_result((x0, x1), h_opt, 2, seed)
+    if k == 3:
+        # Pattern a, b, a: the middle factor's best |s_1| is
+        # min(1, |v x a| / |a x b|), then the outer pair is a two-factor optimum.
+        ax, ay, az = axes[0].tolist()
+        _, vx, vy, vz = u.components()
+        s1 = min(1.0, math.hypot(vy * az - vz * ay, vz * ax - vx * az, vx * ay - vy * ax)
+                 / math.sin(pair.delta))
+        x1 = np.array([math.sqrt(1.0 - s1 * s1), s1])
+        x2, x0, h_opt = _two_factor_optimum(
+            (x1 @ _overlap_slices(target, mats)[1]).reshape(2, 2))
+        return _search_result((x0, x1, x2), h_opt, 3, seed)
 
     rng = np.random.default_rng(seed)
     angles = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (starts, k))
