@@ -3,8 +3,8 @@
 Given two non-parallel unit axes m and n and a target rotation, this
 package computes the exact minimum number of rotations about m or n whose
 product equals the target, constructs an explicit optimal factor sequence,
-and independently checks the answer with geodesic bounds and a brute-force
-numerical search.
+and checks the answer with geodesic bounds and, for every shorter pattern,
+its closest product in closed form.
 """
 
 from .config import DEFAULT_TOL, Tolerances

@@ -10,6 +10,9 @@ or stdin and write JSON to a file or stdout::
     biaxial oracle     --input inst.json [--starts N] [--seed N]
 
 ``decompose`` emits the one closed-form chain of the chosen parity.
+``oracle`` writes the minimality certificate, whose shorter patterns are
+answered in closed form: ``--starts`` (at least 1) and ``--seed`` (at
+least 0) are checked and change nothing.
 ``verify`` replays a certificate's factors and fails them (exit 1) unless
 the residual is within both the declared residual and the reconstruction
 tolerance and its claims match a fresh analysis of the instance; a
@@ -179,8 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="set the admission and residual tolerances; gaps "
                             "below sqrt(2*TOL) are then rejected as parallel")
         if name == "oracle":
-            p.add_argument("--starts", type=int, default=64)
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--starts", type=int, default=64,
+                           help="checked to be at least 1; has no effect")
+            p.add_argument("--seed", type=int, default=0,
+                           help="checked to be at least 0; has no effect")
     return parser
 
 

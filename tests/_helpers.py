@@ -40,7 +40,7 @@ from biaxial import (
     verify_decomposition,
 )
 from biaxial.counting import analyze, even_count, reaches_gap
-from biaxial.oracle import _MAX_SWEEPS, _SWEEP_ATOL, SearchResult
+from biaxial.oracle import SearchResult
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -419,14 +419,30 @@ def _qmul_pure_right(a, v):
             w1 * vz - (x1 * vy - y1 * vx))
 
 
+# Sweep limits of reference_search: at most _MAX_SWEEPS sweeps per start, and
+# a row settles once its overlap moves by at most _SWEEP_ATOL in a sweep, two
+# float spacings of h just above 1 (2.2e-16 each, 1.1e-16 below 1): at 1e-16
+# rows at the float floor kept sweeping on one-ulp changes of h.
+_MAX_SWEEPS = 8000
+_SWEEP_ATOL = 4.5e-16
+
+
 def reference_search(u: Su2Element, pair, pattern: PatternSpec,
                      starts: int = 64, seed: int = 0,
                      stop_below: float | None = None) -> SearchResult:
-    """``numeric_search`` as two full quaternion products per coordinate.
+    """Multistart cyclic coordinate descent on the pattern-product
+    residual: independent search evidence for ``numeric_search``.
 
-    Every coordinate update forms ``left * suffix`` and
-    ``left * (0, p) * suffix`` column by column and dots both with the
-    target; same start draws, update, settle and ``stop_below`` rules.
+    Starts are drawn uniformly from ``[-2*pi, 2*pi]^k`` by
+    ``default_rng(seed)`` and swept over coordinates ``k-1 ... 0``.  Every
+    coordinate update forms ``left * suffix`` and ``left * (0, p) * suffix``
+    column by column, dots both with the target and sets the coordinate to
+    the exact maximiser of the overlap ``a*cos + b*sin``.  A row settles
+    once a sweep moves its overlap by at most ``_SWEEP_ATOL``, or by
+    ``1e-4 * stop_below**2`` when that is larger, and the sweeps stop early
+    once the best residual drops under ``stop_below``.  The result is an
+    upper bound on the least residual, within rounding of it unless the
+    sweep stalls.
     """
     if starts < 1:
         raise ValueError("starts must be at least 1")

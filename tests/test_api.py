@@ -118,7 +118,7 @@ PRIVATE_IMPORTS = {
     "_arc": {"counting", "oracle"},
     "_deciding_distances": {"synthesis"},
     "_decompose": {"cli"},
-    "_rot": {"synthesis"},
+    "_rot": {"oracle", "synthesis"},
     "_vector3": {"cli"},
 }
 

@@ -21,14 +21,16 @@ from biaxial import (
     geodesic_bound_check,
     m_odd_count,
     minimality_certificate,
+    negate,
     numeric_search,
+    quat_distance,
     replay_factors,
     rot,
     Su2Element,
     worst_case_witness,
 )
 import biaxial.oracle as oracle
-from biaxial.oracle import _DENSE_MAX_K, FEASIBLE_RESIDUAL, INFEASIBLE_RESIDUAL
+from biaxial.oracle import FEASIBLE_RESIDUAL, INFEASIBLE_RESIDUAL
 from biaxial.synthesis import decompose_even, decompose_odd
 from _helpers import (
     bounds_of,
@@ -134,14 +136,13 @@ class TestNumericSearch:
         assert a == b
 
     def test_monotone_in_starts(self):
-        # Rows are independent, so a larger start list only adds rows; one
-        # start included, on both sweeps.
+        # No length may get worse with more starts, one start included.
         rng = np.random.default_rng(42)
         for _ in range(8):
             m, n = random_pair(rng, 0.4, 0.5 * math.pi)
             pair = AxisPair.from_axes(m, n)
             u = random_su2(rng)
-            for k in range(1, _DENSE_MAX_K + 3):
+            for k in range(1, 7):
                 for first in (AxisLabel.M, AxisLabel.N):
                     spec = PatternSpec(k, first)
                     residuals = [numeric_search(u, pair, spec, starts=s, seed=3).best_residual
@@ -149,11 +150,10 @@ class TestNumericSearch:
                     assert all(a >= b for a, b in zip(residuals, residuals[1:])), (spec, residuals)
 
     def test_feasible_searches_settle(self):
-        # Without stop_below a row settles once h stops moving by more than
-        # a float spacing near 1: reachable length-4 targets settle in well
-        # under 1000 sweeps per start; length 2 is solved in closed form.
+        # Reachable targets are found without stop_below, in one closed form
+        # per factor.
         rng = np.random.default_rng(7)
-        for k, max_sweeps in ((2, 2), (4, 150)):
+        for k in (2, 4):
             for _ in range(40):
                 m, n = random_pair(rng, 0.5 * math.pi, 0.5 * math.pi)
                 spec = PatternSpec(k, AxisLabel.M if rng.uniform() < 0.5 else AxisLabel.N)
@@ -162,34 +162,36 @@ class TestNumericSearch:
                                     zip(reversed(spec.labels()), reversed(angles))], m, n)
                 result = numeric_search(u, AxisPair.from_axes(m, n), spec, starts=8, seed=0)
                 assert result.best_residual <= FEASIBLE_RESIDUAL, (spec, result)
-                assert result.evaluations <= max_sweeps * 8 * k, (spec, result)
+                assert result.evaluations == k, (spec, result)
 
     @pytest.mark.parametrize("bad", [{"starts": 0}, {"starts": -1}, {"seed": -1}])
     def test_every_length_rejects_the_same_parameters(self, bad):
-        # Length 2 draws no start, yet checks starts and seed as length 3 does.
+        # No length draws starts, yet every length checks starts and seed.
         pair = AxisPair.from_axes(EZ, EX)
         u = rot(np.array([0.0, 1.0, 0.0]), 0.5 * math.pi)
-        for k in (1, 2, 3, _DENSE_MAX_K + 1):
+        for k in (1, 2, 3, 5):
             with pytest.raises(ValueError):
                 numeric_search(u, pair, PatternSpec(k, AxisLabel.M), **bad)
 
     def test_zero_overlap_keeps_the_starts(self):
-        # (0, 1, 0, 0) is orthogonal to every rotation about z, so every row
-        # has a = b = 0 and no update applies.
+        # (0, 1, 0, 0) is a half turn about x and orthogonal to every
+        # rotation about z: D z = -z, and every angle is sqrt(2) away.
         pair = AxisPair.from_axes(EZ, EX)
-        result = numeric_search(Su2Element(0.0, 1.0, 0.0, 0.0), pair,
-                                PatternSpec(1, AxisLabel.M), starts=8, seed=5)
-        assert result.best_residual == math.sqrt(2.0)
-        start = np.random.default_rng(5).uniform(-2.0 * math.pi, 2.0 * math.pi, (8, 1))
-        assert result.best_angles[0] == pytest.approx(start[0, 0], abs=1e-12)
+        u = Su2Element(0.0, 1.0, 0.0, 0.0)
+        spec = PatternSpec(1, AxisLabel.M)
+        result = numeric_search(u, pair, spec, starts=8, seed=5)
+        assert result.best_residual == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        assert math.isfinite(result.best_angles[0])
+        assert replayed_residual(u, pair, spec, result.best_angles) == pytest.approx(
+            result.best_residual, abs=1e-15)
 
     def test_matches_two_product_reference(self):
-        # Both sweeps and both closed forms against the two-product sweep:
-        # same verdicts at both thresholds, residuals equal to rounding.
-        # Under stop_below=1e-4 the sweep stops early on a reachable target
-        # at a residual up to 1e-4, where a closed form returns the exact
-        # optimum: there lengths 2 and 3 need only be no worse and agree on
-        # the infeasibility verdict.
+        # The closed form against the two-product sweep: same verdicts at
+        # both thresholds, residuals equal to rounding.  Under
+        # stop_below=1e-4 the sweep stops early on a reachable target at a
+        # residual up to 1e-4, where the closed form returns the exact
+        # optimum: there every length need only be no worse and agree on the
+        # infeasibility verdict.
         rng = np.random.default_rng(44)
         for delta in (0.5 * math.pi, 1.0, 0.3, 2.5):
             for _ in range(2):
@@ -197,7 +199,7 @@ class TestNumericSearch:
                 pair = AxisPair.from_axes(m, n)
                 u = random_su2(rng)
                 for k, first, stop_below in itertools.product(
-                        range(1, _DENSE_MAX_K + 3), (AxisLabel.M, AxisLabel.N),
+                        range(1, 7), (AxisLabel.M, AxisLabel.N),
                         (None, 1e-7, 1e-4)):
                     spec = PatternSpec(k, first)
                     got = numeric_search(u, pair, spec, starts=8, seed=k,
@@ -205,7 +207,7 @@ class TestNumericSearch:
                     ref = reference_search(u, pair, spec, starts=8, seed=k,
                                            stop_below=stop_below).best_residual
                     case = (delta, spec, stop_below, got, ref)
-                    if stop_below == 1e-4 and k in (2, 3):
+                    if stop_below == 1e-4:
                         assert got <= ref + 1e-12, case
                     else:
                         assert abs(got - ref) <= 1e-7, case
@@ -227,6 +229,129 @@ class TestNumericSearch:
         assert short.best_residual > 1e-4
 
 
+class TestEveryLength:
+    """Every length in closed form: the residual is the floor
+    ``2*sin(dist(d, S_k)/4)`` read from the geodesic bound's distance, and
+    the returned angles replay to it."""
+
+    GAPS = (0.5 * math.pi, 1.0, 0.3, 0.05, 2.5)
+
+    @staticmethod
+    def floor(u, pair, spec) -> float:
+        distance = geodesic_bound_check(u, pair, spec).distance
+        k, delta = spec.k, pair.delta
+        if k == 1:
+            excess = distance
+        elif k == 2:
+            excess = abs(distance - delta)
+        else:
+            excess = max(0.0, distance - min(math.pi, (k - 1) * delta))
+        return 2.0 * math.sin(0.25 * excess)
+
+    @staticmethod
+    def check(u, pair, spec, want: float, tol: float = 1e-12):
+        result = numeric_search(u, pair, spec)
+        case = (pair.delta, spec, result, want)
+        assert all(math.isfinite(a) for a in result.best_angles), case
+        assert result.best_residual == pytest.approx(want, abs=tol), case
+        assert replayed_residual(u, pair, spec, result.best_angles) == pytest.approx(
+            result.best_residual, abs=1e-12), case
+        return result
+
+    def test_matches_the_floor_and_the_reference(self):
+        # m is negated at every other gap, so the pair's sign flip is read.
+        rng = np.random.default_rng(54)
+        for i, delta in enumerate(self.GAPS):
+            m, n = random_pair(rng, delta, delta)
+            pair = AxisPair.from_axes((-1.0) ** i * m, n)
+            u = random_su2(rng)
+            for k in range(1, 8):
+                for first in (AxisLabel.M, AxisLabel.N):
+                    spec = PatternSpec(k, first)
+                    got = self.check(u, pair, spec, self.floor(u, pair, spec))
+                    ref = reference_search(u, pair, spec, starts=4, seed=k)
+                    assert got.best_residual <= ref.best_residual + 1e-12, (
+                        delta, spec, got, ref)
+
+    def test_reachable_length_four_targets_are_found(self):
+        # Products of a random length-4 pattern: the 64-start sweep left 3 of
+        # the 30 at gap 0.05 above FEASIBLE_RESIDUAL, the worst at 1.1e-4.
+        rng = np.random.default_rng(60)
+        for delta in (1.0, 0.3, 0.05):
+            for _ in range(30):
+                m, n = random_pair(rng, delta, delta)
+                spec = PatternSpec(4, AxisLabel.M if rng.uniform() < 0.5 else AxisLabel.N)
+                angles = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 4)
+                u = replay_factors([Factor(lab, a) for lab, a in
+                                    zip(reversed(spec.labels()), reversed(angles))], m, n)
+                result = numeric_search(u, AxisPair.from_axes(m, n), spec)
+                assert result.best_residual <= FEASIBLE_RESIDUAL, (delta, spec, angles, result)
+
+    @staticmethod
+    def onto(pair, first, turn: float) -> Su2Element:
+        """A rotation ``D`` that turns the first axis ``a`` about ``l`` by
+        ``turn`` toward the other axis ``b``, which it reaches at ``delta``."""
+        sign = 1.0 if first is AxisLabel.M else -1.0
+        a = pair.m if first is AxisLabel.M else pair.n
+        return compose(rot(pair.l, sign * turn), rot(a, 0.7))
+
+    @pytest.mark.parametrize("delta", [0.5 * math.pi, 1.0, 0.05])
+    def test_image_on_the_last_axis(self, delta):
+        # D a = b at k = 2: D a must be turned away from b by the whole gap
+        # along some great circle.  D a = a at k = 1 and 3 needs no turn.
+        pair = pair_with_delta(delta)
+        for first in (AxisLabel.M, AxisLabel.N):
+            self.check(self.onto(pair, first, pair.delta), pair, PatternSpec(2, first),
+                       2.0 * math.sin(0.25 * pair.delta))
+            for k in (1, 3):
+                self.check(self.onto(pair, first, 0.0), pair, PatternSpec(k, first), 0.0)
+
+    @pytest.mark.parametrize("delta", [0.5 * math.pi, 1.0, 0.05])
+    def test_image_opposite_the_last_axis(self, delta):
+        # D a = -a at k = 1 and D a = -b at k = 2: every great circle through
+        # the last axis passes through the image.
+        pair = pair_with_delta(delta)
+        for first in (AxisLabel.M, AxisLabel.N):
+            self.check(self.onto(pair, first, math.pi), pair, PatternSpec(1, first),
+                       math.sqrt(2.0))
+            self.check(self.onto(pair, first, math.pi + pair.delta), pair,
+                       PatternSpec(2, first), 2.0 * math.sin(0.25 * (math.pi - pair.delta)))
+
+    def test_image_on_the_last_axis_in_exact_arithmetic(self):
+        # About z and x these half turns move z and x to exactly +-x, +-z, so
+        # the image's cross product with the last axis is exactly zero.
+        pair = AxisPair.from_axes(EZ, EX)
+        h = math.sqrt(0.5)
+        for first in (AxisLabel.M, AxisLabel.N):
+            self.check(Su2Element(0.0, h, 0.0, h), pair, PatternSpec(2, first),
+                       2.0 * math.sin(0.25 * pair.delta), tol=1e-15)
+            self.check(Su2Element(0.0, h, 0.0, -h), pair, PatternSpec(2, first),
+                       2.0 * math.sin(0.25 * (math.pi - pair.delta)), tol=1e-15)
+            self.check(Su2Element(0.0, 0.0, 1.0, 0.0), pair, PatternSpec(1, first),
+                       math.sqrt(2.0), tol=1e-15)
+
+    @pytest.mark.parametrize("delta, k", [(0.5 * math.pi, 3), (1.0, 5), (0.3, 12)])
+    def test_every_target_reachable_past_pi(self, delta, k):
+        # (k-1)*delta >= pi: S_k is all of [0, pi].
+        rng = np.random.default_rng(55)
+        for _ in range(20):
+            m, n = random_pair(rng, delta, delta)
+            pair = AxisPair.from_axes(m, n)
+            u = random_su2(rng)
+            for first in (AxisLabel.M, AxisLabel.N):
+                result = self.check(u, pair, PatternSpec(k, first), 0.0)
+                assert result.best_residual <= 1e-12
+
+
+def replayed_residual(u: Su2Element, pair: AxisPair, spec: PatternSpec, angles) -> float:
+    """Residual of the pattern's product with ``angles`` (application order)
+    about the sign-normalized pair, minimised over both lifts."""
+    prod = IDENTITY
+    for label, theta in zip(spec.labels(), angles):
+        prod = compose(rot(pair.m if label is AxisLabel.M else pair.n, theta), prod)
+    return min(quat_distance(prod, u), quat_distance(negate(prod), u))
+
+
 def two_factor_overlap_matrix(u: Su2Element, first, second,
                               middle: Su2Element = IDENTITY) -> np.ndarray:
     """``W[b1, b0] = <u, P_{b1} M P_{b0}>`` with ``P_0 = 1``, ``P_1 =
@@ -241,7 +366,7 @@ def two_factor_overlap_matrix(u: Su2Element, first, second,
 
 class TestTwoFactorOptimum:
     """A length-2 search lands on the top singular value of its overlap
-    matrix in one joint update."""
+    matrix."""
 
     @staticmethod
     def expected_residual(u, first, second) -> float:
@@ -300,7 +425,7 @@ class TestTwoFactorOptimum:
 
     @pytest.mark.parametrize("feasible", [False, True])
     def test_closed_form_in_two_evaluations(self, feasible):
-        # Each coordinate is set once, on one row, whatever the starts.
+        # One evaluation per factor, whatever the starts.
         rng = np.random.default_rng(47)
         for _ in range(10):
             m, n = random_pair(rng, 0.5 * math.pi, 0.5 * math.pi)
@@ -320,9 +445,9 @@ class TestLengthThreeStall:
 
     def test_reachable_length_three_targets_are_found(self):
         # Products of a random length-3 pattern: an 8-start sweep returned
-        # 1.63e-6 here after _MAX_SWEEPS sweeps per start.
+        # 1.63e-6 here after 8000 sweeps per start.
         rng = np.random.default_rng(7)
-        worst, longest = 0.0, 0
+        worst = 0.0
         for _ in range(60):
             m, n = random_pair(rng, 0.5 * math.pi, 0.5 * math.pi)
             spec = PatternSpec(3, AxisLabel.M if rng.uniform() < 0.5 else AxisLabel.N)
@@ -331,8 +456,8 @@ class TestLengthThreeStall:
                                 zip(reversed(spec.labels()), reversed(angles))], m, n)
             result = numeric_search(u, AxisPair.from_axes(m, n), spec, starts=8, seed=0)
             worst = max(worst, result.best_residual)
-            longest = max(longest, result.evaluations // (8 * 3))
-        assert worst <= FEASIBLE_RESIDUAL and longest < oracle._MAX_SWEEPS, (worst, longest)
+            assert result.evaluations == 3, result
+        assert worst <= FEASIBLE_RESIDUAL, worst
 
     @pytest.mark.parametrize("delta", [1.0, 0.05])
     def test_reachable_targets_at_unit_and_small_gaps(self, delta):
@@ -350,8 +475,8 @@ class TestLengthThreeStall:
 
 
 class TestThreeFactorOptimum:
-    """A length-3 search ``a, b, a`` lands on the best middle angle in closed
-    form, then on the outer pair's top singular value."""
+    """A length-3 search ``a, b, a`` lands on the best middle angle and the
+    outer pair's top singular value for it."""
 
     GAPS = (0.5 * math.pi, 1.0, 0.3, 0.05, 2.5)
 
@@ -406,19 +531,26 @@ class TestThreeFactorOptimum:
                                             abs=1e-14), case
 
     def test_independent_of_starts_and_seed(self):
+        # At every length, not only 3.
         rng = np.random.default_rng(51)
         for pair, u, first, _, _ in self.cases(rng, haar=1, reachable=1):
-            results = {(r.best_residual, r.best_angles) for r in
-                       (numeric_search(u, pair, PatternSpec(3, first), starts=s, seed=seed)
-                        for s in (1, 8, 64) for seed in (0, 1, 9))}
-            assert len(results) == 1, (pair.delta, first, results)
+            for k in range(1, 8):
+                results = {(r.best_residual, r.best_angles) for r in
+                           (numeric_search(u, pair, PatternSpec(k, first), starts=s,
+                                           seed=seed, stop_below=stop_below)
+                            for s in (1, 8, 64) for seed in (0, 1, 9)
+                            for stop_below in (None, 1e-7, 1e-4))}
+                assert len(results) == 1, (pair.delta, k, first, results)
 
     def test_closed_form_in_three_evaluations(self):
+        # One evaluation per factor at every length, three at length 3.
         rng = np.random.default_rng(52)
         for pair, u, first, _, _ in self.cases(rng, haar=1, reachable=1):
-            for stop_below in (None, 1e-4):
-                result = numeric_search(u, pair, PatternSpec(3, first), stop_below=stop_below)
-                assert result.evaluations == 3
+            for k in range(1, 8):
+                for stop_below in (None, 1e-4):
+                    result = numeric_search(u, pair, PatternSpec(k, first),
+                                            stop_below=stop_below)
+                    assert result.evaluations == k
 
     def test_verdict_matches_geodesic_bound(self):
         # Haar targets, products of the pattern, and targets whose
