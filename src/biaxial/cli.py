@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands read one JSON instance (or an array of instances) from a file
-or stdin and write JSON to a file or stdout::
+or stdin and write compact JSON, one line ended by a newline, to a file or
+stdout::
 
     biaxial count      --input inst.json
     biaxial decompose  --input inst.json
@@ -19,26 +20,28 @@ tolerance and its claims match a fresh analysis of the instance; a
 certificate field of the wrong JSON type exits 2.
 
 Exit codes: 0 success, 1 verification or certificate failure, 2 parse or
-validation error or an unreadable input or unwritable output, 3 parallel
-axes, 4 reconstruction residual breach.  A batch exits with the largest
-code of its items; an item that fails with 2 or 3 keeps its slot as
-``{"error": message, "exit": code}``.  Parsing checks the JSON shapes;
-each command admits the axes and the target once, in the library call
-that answers it (an ``so3`` or ``axis_angle`` target is admitted as it is
-read), and ``verify`` admits the instance before it reads the
-certificate.  ``--tol X`` sets every tolerance
-to ``X``: the admission of axes and targets, the parallel floor (gaps
-below ``sqrt(2*X)`` exit 3) and the reconstruction bound, not the counts,
-the lift of a target or the factors.  A tolerance that is not a finite
-number >= 0 exits with code 2.
+validation error or an unreadable input (a missing file, malformed JSON,
+bytes that are not UTF-8, nesting past the recursion limit) or unwritable
+output, 3 parallel axes, 4 reconstruction residual breach.  A batch exits
+with the largest code of its items; an item that fails with 2 or 3 keeps
+its slot as ``{"error": message, "exit": code}``.  Parsing checks the JSON
+shapes; each command admits the axes and the target once, in the library
+call that answers it (an ``so3`` or ``axis_angle`` target is admitted as
+it is read), and ``verify`` admits the instance before it reads the
+certificate.  ``--tol X`` sets every tolerance to ``X``: the admission of
+axes and targets, the parallel floor (gaps below ``sqrt(2*X)`` exit 3) and
+the reconstruction bound, not the counts, the lift of a target or the
+factors.  A tolerance that is not a finite number >= 0 exits with code 2.
+The argument parser is built once per process, on the first call of
+:func:`main`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import asdict
 from typing import Any
 
 from .config import DECISION_WINDOW, Tolerances
@@ -73,7 +76,8 @@ def _read_json(path: str) -> Any:
 
 
 def _write_json(path: str, obj: Any) -> None:
-    text = json.dumps(obj, indent=2)
+    # Compact: without an indent json runs its C encoder.
+    text = json.dumps(obj)
     if path == "-":
         sys.stdout.write(text + "\n")
     else:
@@ -154,7 +158,7 @@ def _cmd_oracle(item: Any, args: argparse.Namespace, tol: Tolerances) -> tuple[i
     instance = parse_instance(item, tol)
     report = minimality_certificate(instance.target, instance.m, instance.n,
                                     starts=args.starts, seed=args.seed, tol=tol)
-    out = asdict(report)
+    out = dict(vars(report))
     out["refutations"] = [dict(zip(("k", "first_axis", "best_residual"), r))
                           for r in report.refutations]
     return (EXIT_OK if report.passed else EXIT_FAIL), out
@@ -169,7 +173,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use."""
     parser = argparse.ArgumentParser(
         prog="biaxial",
         description="Minimal two-axis rotation counts and explicit decompositions.")
@@ -199,7 +205,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     try:
         payload = _read_json(args.input)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON, bytes that are not UTF-8 and
+        # integers past Python's digit limit; RecursionError, arrays nested
+        # past the recursion limit.
         print(f"biaxial: cannot read input: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

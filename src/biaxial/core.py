@@ -78,8 +78,8 @@ class EulerTriple(NamedTuple):
 
 IDENTITY = Su2Element(1.0, 0.0, 0.0, 0.0)
 
-_EY = np.array([0.0, 1.0, 0.0])
-_EZ = np.array([0.0, 0.0, 1.0])
+_EY = (0.0, 1.0, 0.0)
+_EZ = (0.0, 0.0, 1.0)
 
 
 def _admit_unit(v, tol: Tolerances, error: type[ValueError], name: str):
@@ -308,7 +308,7 @@ def from_euler_zyz(alpha: float, beta: float, gamma: float) -> Su2Element:
     ``from_euler_zyz(*euler_zyz(u))`` reproduces ``u`` with its quaternion
     sign.
     """
-    return compose(rot(_EZ, alpha), compose(rot(_EY, beta), rot(_EZ, gamma)))
+    return compose(_rot(_EZ, alpha), compose(_rot(_EY, beta), _rot(_EZ, gamma)))
 
 
 def generalized_euler(u: Su2Element, pair: AxisPair) -> EulerTriple:

@@ -21,10 +21,8 @@ read against a fresh analysis of the instance.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Mapping
-
-import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .core import Su2Element, from_euler_zyz, from_so3, rot
@@ -70,13 +68,15 @@ class Certificate:
     residual: float | None = None
 
 
+def _is_number(v: Any) -> bool:
+    # Only JSON numbers: float() would also take booleans and numeric strings.
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _numbers(obj: Any, length: int, message: str) -> list[float]:
-    # Only JSON numbers: float() would also take booleans and numeric
-    # strings, and a scalar or a nested value is a ValueError here rather
-    # than a TypeError later.
-    if (isinstance(obj, (list, tuple)) and len(obj) == length
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in obj)):
+    # A scalar or a nested value is a ValueError here rather than a
+    # TypeError later.
+    if isinstance(obj, (list, tuple)) and len(obj) == length and all(map(_is_number, obj)):
         return [float(v) for v in obj]
     raise ValueError(message)
 
@@ -96,7 +96,23 @@ def _finite(values: list[float], name: str,
 # truncate 2.9, read "no" as true and take any value at all.
 
 def _real(obj: Any, name: str) -> float:
-    return _finite(_numbers([obj], 1, f"{name} must be a number"), name, ValueError)[0]
+    if not _is_number(obj):
+        raise ValueError(f"{name} must be a number")
+    value = float(obj)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {[value]}")
+    return value
+
+
+_LABELS = {"m": AxisLabel.M, "n": AxisLabel.N}
+
+
+def _label(obj: Any) -> AxisLabel:
+    try:
+        return _LABELS[obj]
+    except (KeyError, TypeError):
+        # The enum's own message, also for an unhashable value.
+        raise ValueError(f"{obj!r} is not a valid AxisLabel") from None
 
 
 def _integer(obj: Any, name: str) -> int:
@@ -130,14 +146,15 @@ def _parse_target(obj: Any, tol: Tolerances) -> Su2Element:
         return Su2Element(*_numbers(value, 4, "su2 target must be [w, x, y, z]"))
     if kind == "so3":
         entries = _numbers(value, 9, "so3 target must be 9 row-major numbers")
-        return from_so3(np.array(entries).reshape(3, 3), tol)
+        return from_so3([entries[0:3], entries[3:6], entries[6:9]], tol)
     if kind == "axis_angle":
         if not isinstance(value, Mapping) or "axis" not in value or "angle" not in value:
             raise ValueError('axis_angle target must be {"axis": [...], "angle": t}')
         axis = _vector3(value["axis"], "axis_angle.axis")
-        angle, = _finite(_numbers([value["angle"]], 1, "axis_angle.angle must be a number"),
-                         "axis_angle target")
-        return rot(axis, angle, tol)
+        angle = value["angle"]
+        if not _is_number(angle):
+            raise ValueError("axis_angle.angle must be a number")
+        return rot(axis, _finite([float(angle)], "axis_angle target")[0], tol)
     triple = _finite(_numbers(value, 3, "euler_zyz target must be [alpha, beta, gamma]"),
                      "euler_zyz target")
     return from_euler_zyz(*triple)
@@ -182,7 +199,7 @@ def certificate_to_obj(report: CountReport, pair: AxisPair, target: Su2Element,
         "m_flipped": pair.m_flipped,
         "swapped": pair.swapped if dec is None else dec.swapped,
         "target_su2": list(target.components()),
-        "report": asdict(report),
+        "report": dict(vars(report)),
         # Factors multiply left to right but apply to vectors right to left.
         "order": "right-to-left",
     }
@@ -203,9 +220,8 @@ def parse_certificate(obj: Any) -> Certificate:
         if "factors" in obj:
             if not isinstance(obj["factors"], list):
                 raise ValueError("factors must be a list")
-            factors = tuple(
-                Factor(AxisLabel(f["axis"]), _real(f["angle"], "factor angle"))
-                for f in obj["factors"])
+            factors = tuple([Factor(_label(f["axis"]), _real(f["angle"], "factor angle"))
+                             for f in obj["factors"]])
         residual = _real(obj["residual"], "residual") if "residual" in obj else None
         return Certificate(
             count=_integer(obj["count"], "count"),

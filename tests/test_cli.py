@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from biaxial.cli import main
 from biaxial.counting import analyze
 from _helpers import (count_admit_calls, count_analyze_calls, count_from_axes_calls,
                       count_replay_calls)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 EX = [1.0, 0.0, 0.0]
 EY = [0.0, 1.0, 0.0]
@@ -520,6 +526,29 @@ class TestMalformedShapes:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("axis,shown", [
+        ("x", "'x'"), (1, "1"), (["m"], "['m']"), (None, "None"), ("M", "'M'")])
+    def test_factor_axis(self, tmp_path, capsys, axis, shown):
+        # A factor axis other than "m" or "n", hashable or not, is named in
+        # the enum's own words, and a batch keeps the item's slot.
+        code, cert = run_cli(tmp_path, capsys, "decompose", WORKED)
+        assert code == 0
+        good = {"instance": WORKED, "certificate": cert}
+        bad = json.loads(json.dumps(good))
+        bad["certificate"]["factors"][0]["axis"] = axis
+        message = f"{shown} is not a valid AxisLabel"
+        inp = tmp_path / "pair.json"
+        inp.write_text(json.dumps(bad))
+        code = main(["verify", "--input", str(inp)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"biaxial: {message}\n"
+        code, out = run_cli(tmp_path, capsys, "verify", [good, bad, good])
+        assert code == 2
+        assert out[0]["ok"] and out[2]["ok"]
+        assert out[1] == {"error": message, "exit": 2}
+
     @pytest.mark.parametrize("axes", [
         {"m": 5, "n": EX}, {"m": EZ, "n": 5},
         {"m": [True, False, False], "n": EX}, {"m": EZ, "n": ["1", "0", "0"]}])
@@ -737,3 +766,58 @@ class TestTolOverride:
         code = main(["count", "--input", str(inp), "--output", str(outp)])
         assert code == 0
         assert json.loads(outp.read_text())["count"] == 2
+
+
+class TestUnreadableInput:
+    """Input that cannot be read as JSON exits 2 with a message."""
+
+    @pytest.mark.parametrize("raw", [
+        b'{"m": "\xff"}', b"[" * 100000, b"[" + b"1" * 5000 + b"]"],
+        ids=["not-utf8", "nested-past-recursion-limit", "integer-past-digit-limit"])
+    @pytest.mark.parametrize("command", ["count", "verify"])
+    def test_exit_2_with_message(self, tmp_path, capsys, command, raw):
+        inp = tmp_path / "in.json"
+        inp.write_bytes(raw)
+        code = main([command, "--input", str(inp)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("biaxial: cannot read input: ")
+
+
+class TestOneParser:
+    """One process builds one parser: a command's output does not depend on
+    the commands run before it, and every output is compact JSON."""
+
+    def test_sequence_matches_lone_runs(self, tmp_path, capsys):
+        # The skewed axis is admitted under --tol 1e-3 only, so a tolerance
+        # left over from an earlier call would show in the output.
+        skewed = dict(WORKED, m=[0.0, 0.0, 1.0 + 1e-6])
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps([WORKED, skewed]))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        for command, *flags in (["oracle", "--starts", "3", "--seed", "5"], ["oracle"],
+                                ["decompose", "--tol", "1e-3"], ["decompose"]):
+            argv = [command, "--input", str(inp), *flags]
+            code = main(argv)
+            captured = capsys.readouterr()
+            alone = subprocess.run([sys.executable, "-m", "biaxial.cli", *argv],
+                                   capture_output=True, text=True, env=env, check=False)
+            assert (code, captured.out, captured.err) == (
+                alone.returncode, alone.stdout, alone.stderr), argv
+
+    @pytest.mark.parametrize("command,payload", [
+        ("count", WORKED), ("decompose", [WORKED, WORKED]), ("oracle", WORKED),
+        ("worst-case", {"m": EZ, "n": EX}), ("verify", None)])
+    def test_compact_output(self, tmp_path, capsys, command, payload):
+        if payload is None:
+            _, cert = run_cli(tmp_path, capsys, "decompose", WORKED)
+            payload = {"instance": WORKED, "certificate": cert}
+        inp = tmp_path / "in.json"
+        outp = tmp_path / "out.json"
+        inp.write_text(json.dumps(payload))
+        assert main([command, "--input", str(inp)]) == 0
+        text = capsys.readouterr().out
+        assert text == json.dumps(json.loads(text)) + "\n"
+        assert main([command, "--input", str(inp), "--output", str(outp)]) == 0
+        assert outp.read_text(encoding="utf-8") == text
